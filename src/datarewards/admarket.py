@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
 from .model import MarketParams, Scheme, integrate, mass
 from .users import (
@@ -83,7 +85,7 @@ def watch_segments(
             segments.append((thr.theta1, theta_max, True))
         elif case is SurCase.C:
             assert thr.theta4 is not None
-            segments.append((thr.theta3, thr.theta4, False))
+            segments.append((thr.theta3, min(thr.theta4, theta_max), False))
             segments.append((thr.theta1, theta_max, True))
         elif case is SurCase.D:
             segments.append((thr.theta3, theta_max, False))
@@ -94,34 +96,69 @@ def watch_segments(
     return [(lo, hi, sub) for lo, hi, sub in segments if hi > lo]
 
 
+@dataclass(frozen=True)
+class WatchMoments:
+    """Type mass of one watch segment and the weighted integrals of the
+    ads watched there, int x g and int x^2 g."""
+
+    subscribes: bool
+    mass: float
+    ex: float
+    ex2: float
+
+
+def watch_moments(
+    params: MarketParams,
+    w: float,
+    scheme: Scheme,
+    thr: Thresholds | None = None,
+) -> list[WatchMoments]:
+    """Mass and first two ad-count integrals of every watch segment,
+    each from one quadrature pass. Demand and the pooled and per-class
+    ad stats at reward w all derive from these."""
+    out: list[WatchMoments] = []
+    for lo, hi, subscribes in watch_segments(params, w, scheme, UserClass.ALL, thr):
+        seg_mass = mass(params.dist, lo, hi)
+        if seg_mass <= 0.0:
+            continue  # outside the density's support: nobody watches there
+        xfun = x_watch_subscriber if subscribes else x_watch_alone
+
+        def x_and_x2(theta):
+            x = xfun(params, theta, w)
+            return np.array((x, x * x))
+
+        ex, ex2 = integrate(params.dist, x_and_x2, lo, hi).tolist()
+        out.append(WatchMoments(subscribes, seg_mass, ex, ex2))
+    return out
+
+
 def ad_stats(
     params: MarketParams,
     w: float,
     scheme: Scheme,
     user_class: UserClass = UserClass.ALL,
     thr: Thresholds | None = None,
+    moments: list[WatchMoments] | None = None,
 ) -> AdMarketStats:
-    """Watcher mass and moments of ads-per-watcher at reward w."""
+    """Watcher mass and moments of ads-per-watcher at reward w.
+
+    `moments` (from `watch_moments` at the same w) skips recomputing
+    the segment integrals.
+    """
     if user_class is not UserClass.ALL and scheme is not Scheme.SURD:
         raise DomainError("per-class stats only apply to the differentiated scheme")
-    segments = watch_segments(params, w, scheme, user_class, thr)
-    if not segments:
-        return AdMarketStats(0.0, 0.0, 0.0, user_class)
-
-    total_mass = 0.0
-    ex = 0.0
-    ex2 = 0.0
-    for lo, hi, subscribes in segments:
-        xfun = x_watch_subscriber if subscribes else x_watch_alone
-        total_mass += mass(params.dist, lo, hi)
-        ex += integrate(params.dist, lambda t: xfun(params, t, w), lo, hi)
-        ex2 += integrate(params.dist, lambda t: xfun(params, t, w) ** 2, lo, hi)
+    if moments is None:
+        moments = watch_moments(params, w, scheme, thr)
+    if user_class is not UserClass.ALL:
+        subscribers = user_class is UserClass.SUBSCRIBERS
+        moments = [m for m in moments if m.subscribes is subscribers]
+    total_mass = sum(m.mass for m in moments)
     if total_mass <= 0.0:
         return AdMarketStats(0.0, 0.0, 0.0, user_class)
     return AdMarketStats(
         n_ad=params.N * total_mass,
-        ey=ex / total_mass,
-        ey2=ex2 / total_mass,
+        ey=sum(m.ex for m in moments) / total_mass,
+        ey2=sum(m.ex2 for m in moments) / total_mass,
         user_class=user_class,
     )
 
@@ -170,6 +207,7 @@ def ad_side(
     w: float,
     scheme: Scheme,
     thr: Thresholds | None = None,
+    moments: list[WatchMoments] | None = None,
 ) -> AdSideOutcome:
     """Optimal slot pricing and resulting ad revenue at reward w.
 
@@ -178,20 +216,19 @@ def ad_side(
     pricing problems have the same structure as the pooled one); with a
     single watcher class it coincides with the unaware scheme.
     """
-    if scheme is Scheme.SURD:
-        if thr is None:
-            thr = thresholds(params, w, scheme_aware=False)
-        case = classify_sur(params, w)
-        if case is SurCase.C:
-            stats_i = ad_stats(params, w, scheme, UserClass.SUBSCRIBERS, thr)
-            stats_ii = ad_stats(params, w, scheme, UserClass.NON_SUBSCRIBERS, thr)
-            rev_i, p_i = _pool_revenue(stats_i, params)
-            rev_ii, p_ii = _pool_revenue(stats_ii, params)
-            return AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
-        stats = ad_stats(params, w, Scheme.SUR, UserClass.ALL, thr)
-        rev, p = _pool_revenue(stats, params)
-        return AdSideOutcome(rev, p, None, None)
-    stats = ad_stats(params, w, scheme, UserClass.ALL, thr)
+    if moments is None:
+        moments = watch_moments(params, w, scheme, thr)
+    if scheme is Scheme.SURD and classify_sur(params, w) is SurCase.C:
+        rev_i, p_i = _pool_revenue(
+            ad_stats(params, w, scheme, UserClass.SUBSCRIBERS, moments=moments),
+            params,
+        )
+        rev_ii, p_ii = _pool_revenue(
+            ad_stats(params, w, scheme, UserClass.NON_SUBSCRIBERS, moments=moments),
+            params,
+        )
+        return AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
+    stats = ad_stats(params, w, scheme, UserClass.ALL, moments=moments)
     rev, p = _pool_revenue(stats, params)
     return AdSideOutcome(rev, p, None, None)
 

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, NumericalError, ScenarioError
@@ -38,6 +37,19 @@ class Scheme(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _check_marginal(s, up0: float = math.inf) -> None:
+    """Raise DomainError unless 0 < s <= u'(0) (1 + 1e-12), elementwise
+    when s is an array."""
+    if isinstance(s, np.ndarray):
+        lo, hi = s.min(), s.max()
+    else:
+        lo = hi = s
+    if lo <= 0:
+        raise DomainError(f"marginal utility must be > 0, got {lo}")
+    if hi > up0 * (1.0 + 1e-12):
+        raise DomainError(f"marginal utility {hi} exceeds u'(0) = {up0}")
+
+
 @dataclass(frozen=True)
 class LogUtility:
     """u(z) = ln(1 + z)."""
@@ -58,9 +70,9 @@ class LogUtility:
     def u_prime_zero(self) -> float:
         return 1.0
 
-    def inverse_marginal(self, s: float) -> float:
-        if s <= 0:
-            raise DomainError(f"marginal utility must be > 0, got {s}")
+    def inverse_marginal(self, s):
+        """(u')^{-1}(s); s may be a float or an array."""
+        _check_marginal(s)
         return 1.0 / s - 1.0
 
 
@@ -102,13 +114,9 @@ class AlphaFairUtility:
             return math.inf
         return self.mu ** (-self.alpha)
 
-    def inverse_marginal(self, s: float) -> float:
-        if s <= 0:
-            raise DomainError(f"marginal utility must be > 0, got {s}")
-        if self.mu > 0.0 and s > self.u_prime_zero * (1.0 + 1e-12):
-            raise DomainError(
-                f"marginal utility {s} exceeds u'(0) = {self.u_prime_zero}"
-            )
+    def inverse_marginal(self, s):
+        """(u')^{-1}(s); s may be a float or an array."""
+        _check_marginal(s, self.u_prime_zero)
         return s ** (-1.0 / self.alpha) - self.mu
 
 
@@ -137,12 +145,11 @@ class ExpUtility:
     def u_prime_zero(self) -> float:
         return self.gamma
 
-    def inverse_marginal(self, s: float) -> float:
-        if s <= 0:
-            raise DomainError(f"marginal utility must be > 0, got {s}")
-        if s > self.gamma * (1.0 + 1e-12):
-            raise DomainError(f"marginal utility {s} exceeds u'(0) = {self.gamma}")
-        return math.log(self.gamma / s) / self.gamma
+    def inverse_marginal(self, s):
+        """(u')^{-1}(s); s may be a float or an array."""
+        _check_marginal(s, self.gamma)
+        log = np.log if isinstance(s, np.ndarray) else math.log
+        return log(self.gamma / s) / self.gamma
 
 
 UtilityModel = LogUtility | AlphaFairUtility | ExpUtility
@@ -171,12 +178,17 @@ class UniformTypes:
 
     theta_max: float
     variant = "uniform"
+    theta_min = 0.0
 
     def __post_init__(self) -> None:
         if self.theta_max <= 0.0:
             raise ScenarioError(f"theta_max must be > 0, got {self.theta_max}")
 
-    def pdf(self, theta: float) -> float:
+    def pdf(self, theta):
+        """Density at theta; theta may be a float or an array."""
+        if isinstance(theta, np.ndarray):
+            inside = (theta >= 0.0) & (theta <= self.theta_max)
+            return np.where(inside, 1.0 / self.theta_max, 0.0)
         if 0.0 <= theta <= self.theta_max:
             return 1.0 / self.theta_max
         return 0.0
@@ -222,10 +234,20 @@ class TruncatedNormalTypes:
         object.__setattr__(self, "_mass", mass)
 
     @property
+    def theta_min(self) -> float:
+        return self.lo
+
+    @property
     def theta_max(self) -> float:
         return self.hi
 
-    def pdf(self, theta: float) -> float:
+    def pdf(self, theta):
+        """Density at theta; theta may be a float or an array."""
+        if isinstance(theta, np.ndarray):
+            z = (theta - self.mean) / self.sd
+            phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            density = phi / (self.sd * self._mass)  # type: ignore[attr-defined]
+            return np.where((theta >= self.lo) & (theta <= self.hi), density, 0.0)
         if theta < self.lo or theta > self.hi:
             return 0.0
         z = (theta - self.mean) / self.sd
@@ -245,40 +267,53 @@ class TruncatedNormalTypes:
 TypeDistribution = UniformTypes | TruncatedNormalTypes
 
 
+# 32-node Gauss-Legendre rule, mapped once from [-1, 1] to [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_S = 0.5 * (_GL_NODES + 1.0)
+_GL_V = 0.5 * _GL_WEIGHTS
+
+
 def integrate(
     dist: TypeDistribution,
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray | float],
     lo: float,
     hi: float,
-) -> float:
-    """Adaptive quadrature of the weighted integral of f(theta) g(theta).
+) -> float | np.ndarray:
+    """Weighted integral of f(theta) g(theta) over [lo, hi] by a fixed
+    32-node Gauss-Legendre rule.
+
+    f receives the array of nodes and returns its values there; a
+    scalar return broadcasts. If f returns k stacked rows of values,
+    the k integrals come back as an array from the same node pass. An
+    interval outside the density's support integrates to 0.0.
 
     Callers pass analytic segment endpoints, so the integrand is smooth
     on [lo, hi]; kinks of the best-response maps sit exactly at the
-    segment boundaries.
+    segment boundaries. A segment from theta = 0 is mapped by
+    theta = lo + (hi - lo) s^2: with u'(0) infinite the watch rate
+    grows like a fractional power of theta there, where the plain rule
+    errs by up to 2.4e-8 relative and the mapped one by 2e-13.
     """
     if not 0.0 <= lo <= hi <= dist.theta_max * (1.0 + 1e-12):
         raise DomainError(
             f"integration limits [{lo}, {hi}] outside [0, {dist.theta_max}]"
         )
-    if lo == hi:
+    # the density jumps to 0 below its support: integrate where it is smooth
+    lo = max(lo, dist.theta_min)
+    if hi <= lo:
         return 0.0
-
-    def integrand(theta: float) -> float:
-        val = f(theta) * dist.pdf(theta)
-        if not math.isfinite(val):
-            raise NumericalError(f"non-finite integrand at theta={theta}")
-        return val
-
-    # near-degenerate segments can leave quad a roundoff-limited
-    # estimate; that estimate is still the best available, so the
-    # accuracy warning is not actionable here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(integrand, lo, hi, epsrel=1e-9, epsabs=1e-12, limit=200)
-    if not math.isfinite(value):
-        raise NumericalError(f"non-finite integral on [{lo}, {hi}]")
-    return value
+    width = hi - lo
+    if lo == 0.0:
+        theta = width * _GL_S * _GL_S
+        weights = 2.0 * width * _GL_S * _GL_V
+    else:
+        theta = lo + width * _GL_S
+        weights = width * _GL_V
+    # the weights are positive: any non-finite value makes the sum non-finite
+    value = np.multiply(f(theta), dist.pdf(theta)) @ weights
+    if not np.isfinite(value).all():
+        raise NumericalError(f"non-finite integrand on [{lo}, {hi}]")
+    return float(value) if value.ndim == 0 else value
 
 
 def mass(dist: TypeDistribution, lo: float, hi: float) -> float:
@@ -355,14 +390,6 @@ class MarketParams:
         """Data demand with no reward: quota times subscriber mass."""
         theta0 = self.F / self.utility.u(self.Q)
         return self.N * self.Q * mass(self.dist, theta0, self.dist.theta_max)
-
-    def stage2_key(self) -> tuple:
-        """Hashable key for everything the user/ad side depends on.
-
-        Excludes C (capacity only constrains the stage-I search), so
-        capacity sweeps reuse cached stage-II computations.
-        """
-        return (self.N, self.F, self.Q, self.phi, self.utility, self.dist)
 
 
 # ---------------------------------------------------------------------------

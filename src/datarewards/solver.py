@@ -23,16 +23,18 @@ import numpy as np
 from .admarket import (
     AdSideOutcome,
     Scheme,
-    UserClass,
+    WatchMoments,
     ad_side,
     ad_stats,
+    watch_moments,
 )
 from .errors import InternalConsistencyError, UnboundedSearchError
-from .model import MarketParams, integrate, mass
+from .model import MarketParams, mass
 from .numerics import golden_max
 from .users import (
     SarCase,
     SurCase,
+    Thresholds,
     case_bound_a,
     case_bound_b_sar,
     case_bound_b_sur,
@@ -40,8 +42,6 @@ from .users import (
     classify_sar,
     classify_sur,
     thresholds,
-    x_watch_alone,
-    x_watch_subscriber,
 )
 
 
@@ -112,91 +112,61 @@ class FeasibleRegion:
 # ---------------------------------------------------------------------------
 
 
-def demand(params: MarketParams, w: float, scheme: Scheme) -> float:
-    """Total data requested per month at reward w."""
-    dist = params.dist
-    theta_max = dist.theta_max
-    t0 = params.F / params.utility.u(params.Q)
-
-    if w <= 0.0:
-        return params.N * params.Q * mass(dist, t0, theta_max)
-
-    if scheme is Scheme.SAR:
-        case = classify_sar(params, w)
-        thr = thresholds(params, w, scheme_aware=True)
-        base = params.N * params.Q * mass(dist, t0, theta_max)
-        if case is SarCase.A:
-            return base
-        if case is SarCase.B:
-            extra = integrate(
-                dist, lambda t: w * x_watch_subscriber(params, t, w),
-                thr.theta1, theta_max,
-            )
-            return base + params.N * extra
-        assert thr.theta2 is not None
-        total = integrate(
-            dist,
-            lambda t: params.Q + w * x_watch_subscriber(params, t, w),
-            thr.theta2, theta_max,
-        )
-        return params.N * total
-
-    case = classify_sur(params, w)
-    thr = thresholds(params, w, scheme_aware=False)
-    if case is SurCase.A:
-        return params.N * params.Q * mass(dist, t0, theta_max)
-    if case is SurCase.B:
-        base = params.N * params.Q * mass(dist, t0, theta_max)
-        extra = integrate(
-            dist, lambda t: w * x_watch_subscriber(params, t, w),
-            thr.theta1, theta_max,
-        )
-        return base + params.N * extra
-    if case is SurCase.C:
-        assert thr.theta4 is not None
-        alone = integrate(
-            dist, lambda t: w * x_watch_alone(params, t, w),
-            thr.theta3, thr.theta4,
-        )
-        quota_only = params.Q * mass(dist, thr.theta4, thr.theta1)
-        topped_up = integrate(
-            dist,
-            lambda t: params.Q + w * x_watch_subscriber(params, t, w),
-            thr.theta1, theta_max,
-        )
-        return params.N * (alone + quota_only + topped_up)
-    alone = integrate(
-        dist, lambda t: w * x_watch_alone(params, t, w),
-        thr.theta3, theta_max,
-    )
-    return params.N * alone
-
-
-def data_revenue(params: MarketParams, w: float, scheme: Scheme) -> float:
-    """Subscription revenue at reward w: fee times subscriber mass."""
+def _subscriber_mass(
+    params: MarketParams, w: float, scheme: Scheme, thr: Thresholds | None
+) -> float:
+    """Type mass of the users who subscribe at reward w."""
     theta_max = params.dist.theta_max
-    t0 = params.F / params.utility.u(params.Q)
-    if w <= 0.0:
-        return params.N * params.F * mass(params.dist, t0, theta_max)
-    if scheme is Scheme.SAR:
-        case = classify_sar(params, w)
-        if case is SarCase.C:
-            thr = thresholds(params, w, scheme_aware=True)
-            assert thr.theta2 is not None
-            cutoff = thr.theta2
+    cutoff = params.F / params.utility.u(params.Q)
+    if w > 0.0:
+        if scheme is Scheme.SAR:
+            if classify_sar(params, w) is SarCase.C:
+                assert thr is not None and thr.theta2 is not None
+                cutoff = thr.theta2
         else:
-            cutoff = t0
-    else:
-        case = classify_sur(params, w)
-        if case is SurCase.D:
-            return 0.0
-        if case is SurCase.C:
-            thr = thresholds(params, w, scheme_aware=False)
-            assert thr.theta4 is not None
-            cutoff = thr.theta4
-        else:
-            cutoff = t0
-    return params.N * params.F * mass(params.dist, cutoff, theta_max)
+            case = classify_sur(params, w)
+            if case is SurCase.D:
+                return 0.0
+            if case is SurCase.C:
+                assert thr is not None and thr.theta4 is not None
+                cutoff = thr.theta4
+    return mass(params.dist, cutoff, theta_max)
+
+
+def demand(
+    params: MarketParams,
+    w: float,
+    scheme: Scheme,
+    thr: Thresholds | None = None,
+    moments: list[WatchMoments] | None = None,
+) -> float:
+    """Total data requested per month at reward w: the quota of every
+    subscriber plus the rewarded data of every watcher.
+
+    `thr` and `moments` (from `thresholds` and `watch_moments` at the
+    same w) skip recomputing them.
+    """
+    if w > 0.0 and thr is None:
+        thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
+    if moments is None:
+        moments = watch_moments(params, w, scheme, thr)
+    # without watchers this is exactly the zero-reward demand D(0)
+    quota = params.N * params.Q * _subscriber_mass(params, w, scheme, thr)
+    if not moments:
+        return quota
+    return quota + params.N * w * sum(m.ex for m in moments)
+
+
+def data_revenue(
+    params: MarketParams,
+    w: float,
+    scheme: Scheme,
+    thr: Thresholds | None = None,
+) -> float:
+    """Subscription revenue at reward w: fee times subscriber mass."""
+    if w > 0.0 and thr is None:
+        thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
+    return params.N * params.F * _subscriber_mass(params, w, scheme, thr)
 
 
 @dataclass(frozen=True)
@@ -221,9 +191,10 @@ def evaluate_point(params: MarketParams, w: float, scheme: Scheme) -> PointEval:
     else:
         label = classify_sur(params, w).value if w > 0 else SurCase.A.value
     thr = thresholds(params, w, scheme_aware=aware) if w > 0 else None
-    d = demand(params, w, scheme)
-    rd = data_revenue(params, w, scheme)
-    ad = ad_side(params, w, scheme, thr)
+    moments = watch_moments(params, w, scheme, thr)
+    d = demand(params, w, scheme, thr, moments)
+    rd = data_revenue(params, w, scheme, thr)
+    ad = ad_side(params, w, scheme, thr, moments)
     return PointEval(w=w, case_label=label, demand=d, r_data=rd, ad=ad)
 
 
@@ -314,11 +285,11 @@ def solve_sar(
     w_hi = demand_inverse(params, config=config)
     breaks = [case_bound_a(params), case_bound_b_sar(params)]
     grid = _grid_with_breakpoints(0.0, w_hi, config.grid_points, breaks)
-    evals = [evaluate_point(params, w, Scheme.SAR) for w in grid]
+    evals = [evaluate_point(params, float(w), Scheme.SAR) for w in grid]
     best_i = max(range(len(evals)), key=lambda i: evals[i].r_total)
 
-    lo = grid[max(best_i - 1, 0)]
-    hi = grid[min(best_i + 1, len(grid) - 1)]
+    lo = float(grid[max(best_i - 1, 0)])
+    hi = float(grid[min(best_i + 1, len(grid) - 1)])
     best = evals[best_i]
     if hi > lo:
         w_ref, _ = golden_max(
@@ -428,12 +399,13 @@ class _UnawarePoint:
 def _eval_unaware(params: MarketParams, w: float) -> _UnawarePoint:
     """One reward level evaluated for both unaware schemes at once."""
     thr = thresholds(params, w, scheme_aware=False) if w > 0 else None
-    case = classify_sur(params, w) if w > 0 else SurCase.A
-    d = demand(params, w, Scheme.SUR)
-    rd = data_revenue(params, w, Scheme.SUR)
-    ad_sur = ad_side(params, w, Scheme.SUR, thr)
+    case = classify_sur(params, w)
+    moments = watch_moments(params, w, Scheme.SUR, thr)
+    d = demand(params, w, Scheme.SUR, thr, moments)
+    rd = data_revenue(params, w, Scheme.SUR, thr)
+    ad_sur = ad_side(params, w, Scheme.SUR, thr, moments)
     if case is SurCase.C:
-        ad_surd = ad_side(params, w, Scheme.SURD, thr)
+        ad_surd = ad_side(params, w, Scheme.SURD, thr, moments)
     else:
         ad_surd = ad_sur
     pe = PointEval(

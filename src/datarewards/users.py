@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InternalConsistencyError
 from .model import MarketParams
 from .numerics import bisect_root
@@ -110,6 +112,12 @@ def classify_sar(params: MarketParams, w: float) -> SarCase:
 
 
 def classify_sur(params: MarketParams, w: float) -> SurCase:
+    if w <= 0.0:
+        return SurCase.A
+    # With u'(0) infinite every non-subscriber with theta > 0 gains from
+    # watching at any positive reward, so case A^ (and B^) is empty.
+    if math.isinf(params.utility.u_prime_zero):
+        return SurCase.C if w < case_bound_d(params) else SurCase.D
     if w <= case_bound_a(params):
         return SurCase.A
     if w <= case_bound_b_sur(params):
@@ -119,11 +127,16 @@ def classify_sur(params: MarketParams, w: float) -> SurCase:
     return SurCase.D
 
 
-def _x_level(params: MarketParams, theta: float, w: float) -> float:
+def _x_level(params: MarketParams, theta, w: float):
     """Utility level (u')^{-1}(phi / (w theta)) the watcher tops up to.
 
-    Returns 0 for theta = 0 (infinite marginal cost ratio).
+    Returns 0 for theta = 0 (infinite marginal cost ratio). theta may
+    also be an array of positive types, such as quadrature nodes.
     """
+    if isinstance(theta, np.ndarray):
+        return np.maximum(
+            params.utility.inverse_marginal(params.phi / (w * theta)), 0.0
+        )
     if theta <= 0.0:
         return 0.0
     # clamp the rounding dust at segment endpoints (level = 0 or Q there)
@@ -217,12 +230,16 @@ def thresholds(params: MarketParams, w: float, scheme_aware: bool) -> Thresholds
     return Thresholds(theta0=t0, theta1=t1, theta3=t3, theta2=t2, theta4=t4)
 
 
-def x_watch_subscriber(params: MarketParams, theta: float, w: float) -> float:
-    """Ads watched by a subscriber with binding quota Q."""
-    return max((_x_level(params, theta, w) - params.Q) / w, 0.0)
+def x_watch_subscriber(params: MarketParams, theta, w: float):
+    """Ads watched by a subscriber with binding quota Q; theta may be
+    a float or an array."""
+    x = (_x_level(params, theta, w) - params.Q) / w
+    if isinstance(x, np.ndarray):
+        return np.maximum(x, 0.0)
+    return max(x, 0.0)
 
 
-def x_watch_alone(params: MarketParams, theta: float, w: float) -> float:
+def x_watch_alone(params: MarketParams, theta, w: float):
     """Ads watched by a non-subscriber (all data comes from rewards)."""
     return _x_level(params, theta, w) / w
 

@@ -1,9 +1,12 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from datarewards import (
     AlphaFairUtility,
@@ -11,7 +14,9 @@ from datarewards import (
     ExpUtility,
     LogUtility,
     MarketParams,
+    NumericalError,
     ScenarioError,
+    Scheme,
     TruncatedNormalTypes,
     UniformTypes,
     eval_u,
@@ -23,7 +28,9 @@ from datarewards import (
     params_to_dict,
     save_scenario,
 )
+from datarewards.admarket import watch_segments
 from datarewards.model import mass
+from datarewards.users import case_bound_d, x_watch_alone, x_watch_subscriber
 
 ALL_UTILITIES = [
     LogUtility(),
@@ -166,6 +173,110 @@ def test_integration_limits_validated():
         integrate(dist, lambda t: 1.0, -1.0, 10.0)
     with pytest.raises(DomainError):
         integrate(dist, lambda t: 1.0, 0.0, 200.0)
+
+
+def test_integrate_rejects_non_finite_integrand():
+    dist = UniformTypes(155.0)
+    with pytest.raises(NumericalError):
+        integrate(dist, lambda t: np.where(t > 50.0, math.inf, 1.0), 0.0, 155.0)
+    with pytest.raises(NumericalError):
+        integrate(dist, lambda t: math.nan, 10.0, 20.0)
+
+
+def test_integrate_stacked_rows_match_single_rows():
+    dist = TruncatedNormalTypes(mean=125.0, sd=30.0, lo=0.0, hi=250.0)
+    both = integrate(dist, lambda t: np.stack((t, t * t)), 40.0, 210.0)
+    assert both.shape == (2,)
+    first = integrate(dist, lambda t: t, 40.0, 210.0)
+    second = integrate(dist, lambda t: t * t, 40.0, 210.0)
+    assert both.tolist() == pytest.approx([first, second], rel=1e-15)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_pdf_array_matches_scalar(dist):
+    theta = np.linspace(-10.0, dist.theta_max + 10.0, 57)
+    got = dist.pdf(theta)
+    want = np.array([dist.pdf(float(t)) for t in theta])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("u", ALL_UTILITIES)
+def test_inverse_marginal_array_matches_scalar(u):
+    s = np.geomspace(1e-3, 0.99, 41) * min(u.u_prime_zero, 5.0)
+    got = u.inverse_marginal(s)
+    want = np.array([u.inverse_marginal(float(v)) for v in s])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_inverse_marginal_array_domain_errors():
+    u = ExpUtility(gamma=0.7)
+    with pytest.raises(DomainError, match="> 0"):
+        u.inverse_marginal(np.array([0.5, 0.0, 0.3]))
+    with pytest.raises(DomainError, match="exceeds"):
+        u.inverse_marginal(np.array([0.5, 0.8]))
+
+
+# Every utility x type-distribution family, with mu = 0 alpha-fair
+# utilities whose non-subscriber segments start at theta = 0.
+_QUAD_UTILITIES = ALL_UTILITIES + [
+    AlphaFairUtility(alpha=0.3, mu=0.0),
+    AlphaFairUtility(alpha=0.9, mu=0.0),
+]
+_QUAD_DISTS = [
+    UniformTypes(155.0),
+    TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+    TruncatedNormalTypes(mean=125.0, sd=30.0, lo=0.0, hi=250.0),
+    # support starting above 0: segments from theta3 cross its edge
+    TruncatedNormalTypes(mean=75.0, sd=40.0, lo=20.0, hi=150.0),
+]
+
+
+def _quad_reference(dist, f, lo, hi) -> float:
+    edge = [dist.theta_min] if lo < dist.theta_min < hi else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value, _ = quad(lambda t: f(t) * dist.pdf(t), lo, hi, points=edge,
+                        epsabs=0.0, epsrel=1e-13, limit=500)
+    return value
+
+
+def _segment_moments_match_quad(params, w, scheme) -> int:
+    segments = watch_segments(params, w, scheme)
+    for lo, hi, subscribes in segments:
+        xfun = x_watch_subscriber if subscribes else x_watch_alone
+        for k in (1, 2):
+            got = integrate(params.dist, lambda t: xfun(params, t, w) ** k, lo, hi)
+            want = _quad_reference(
+                params.dist, lambda t: xfun(params, t, w) ** k, lo, hi
+            )
+            assert abs(got - want) <= 1e-12 * abs(want), (lo, hi, k, got, want)
+    return len(segments)
+
+
+@given(
+    u=st.sampled_from(_QUAD_UTILITIES),
+    dist=st.sampled_from(_QUAD_DISTS),
+    scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
+    w_rel=st.floats(min_value=1e-3, max_value=2.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_segment_moments_match_quad(u, dist, scheme, w_rel):
+    # F = 10 keeps the type-width assumption satisfied for every family
+    p = MarketParams(N=1e7, F=10.0, Q=0.8, phi=0.3, K=23.0, A=0.6, B=5.0,
+                     C=1e9, utility=u, dist=dist)
+    _segment_moments_match_quad(p, w_rel * case_bound_d(p), scheme)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("dist", _QUAD_DISTS[:2])
+def test_segment_from_zero_matches_quad(alpha, dist):
+    p = MarketParams(N=1e7, F=10.0, Q=0.8, phi=0.3, K=23.0, A=0.6, B=5.0,
+                     C=1e9, utility=AlphaFairUtility(alpha=alpha, mu=0.0),
+                     dist=dist)
+    for w_rel in (1e-3, 0.1, 0.5, 1.5):
+        w = w_rel * case_bound_d(p)
+        assert watch_segments(p, w, Scheme.SUR)[0][0] == 0.0
+        assert _segment_moments_match_quad(p, w, Scheme.SUR) >= 1
 
 
 def test_pdf_positive_inside_zero_outside():

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+import datarewards.admarket as admarket_mod
+import datarewards.users as users_mod
 from datarewards import (
+    AlphaFairUtility,
     ExpUtility,
     InternalConsistencyError,
     LogUtility,
@@ -15,14 +20,23 @@ from datarewards import (
     demand,
     demand_inverse,
     feasible_region,
+    integrate,
     solve,
     solve_sar,
     solve_sur,
     solve_surd,
     theorem5_limit,
 )
-from datarewards.solver import FeasibleRegion, evaluate_point
-from datarewards.users import case_bound_a, case_bound_b_sur, case_bound_d
+from datarewards.admarket import watch_segments
+from datarewards.model import mass
+from datarewards.solver import FeasibleRegion, _eval_unaware, evaluate_point
+from datarewards.users import (
+    case_bound_a,
+    case_bound_b_sar,
+    case_bound_b_sur,
+    case_bound_d,
+    thresholds,
+)
 
 FAST = SolverConfig(grid_points=300, scan_points=200)
 
@@ -80,6 +94,94 @@ def test_unaware_demand_dips():
     ds = [demand(p, float(w), Scheme.SUR) for w in ws]
     diffs = np.diff(ds)
     assert diffs.min() < 0.0  # a genuine dip, not monotone growth
+
+
+def _demand_by_segments(p, w, scheme) -> float:
+    """Demand integrated segment by segment, each data term on its own."""
+    from datarewards.users import x_watch_alone, x_watch_subscriber
+
+    thr = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
+    tm = p.dist.theta_max
+    # SAR case C: every subscriber (theta >= theta2 > theta1) watches
+    lo = thr.theta2 if scheme is Scheme.SAR else min(thr.theta1, tm)
+    topped_up = integrate(
+        p.dist, lambda t: p.Q + w * x_watch_subscriber(p, t, w), lo, tm
+    )
+    if scheme is Scheme.SAR:
+        return p.N * topped_up
+    alone = integrate(
+        p.dist, lambda t: w * x_watch_alone(p, t, w), thr.theta3, min(thr.theta4, tm)
+    )
+    return p.N * (alone + p.Q * mass(p.dist, thr.theta4, thr.theta1) + topped_up)
+
+
+def test_demand_matches_segment_by_segment_integrals(fig5a_params):
+    p = fig5a_params
+    w_sar = 1.3 * case_bound_b_sar(p)
+    assert demand(p, w_sar, Scheme.SAR) == pytest.approx(
+        _demand_by_segments(p, w_sar, Scheme.SAR), rel=1e-12
+    )
+    w_sur = 0.5 * (case_bound_b_sur(p) + case_bound_d(p))
+    assert demand(p, w_sur, Scheme.SUR) == pytest.approx(
+        _demand_by_segments(p, w_sur, Scheme.SUR), rel=1e-12
+    )
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_point_needs_one_root_solve_and_one_pass_per_segment(
+    monkeypatch, fig5a_params, scheme
+):
+    p = fig5a_params
+    if scheme is Scheme.SAR:
+        w, root = 1.3 * case_bound_b_sar(p), "solve_theta2"
+    else:
+        w, root = 0.5 * (case_bound_b_sur(p) + case_bound_d(p)), "solve_theta4"
+    n_segments = len(watch_segments(p, w, scheme))
+    assert n_segments >= 1
+    calls: dict[str, int] = {}
+    _count_calls(monkeypatch, users_mod, root, calls)
+    _count_calls(monkeypatch, admarket_mod, "integrate", calls)
+    evaluate_point(p, w, scheme)
+    assert calls == {root: 1, "integrate": n_segments}
+    if scheme is not Scheme.SAR:
+        calls.clear()
+        _eval_unaware(p, w)  # SUR and SURD together
+        assert calls == {root: 1, "integrate": n_segments}
+
+
+@pytest.mark.parametrize(
+    "F,theta_max,C,w_of",
+    [
+        (30.0, 155.0, 1.6e7, lambda p: 0.5 * case_bound_a(p)),
+        # theta_max below F/(Q u'(Q)): near phi Q/F the band's upper
+        # edge theta4 passes theta_max and nobody subscribes
+        (10.0, 8.0, 1e8, lambda p: 0.99 * case_bound_d(p)),
+    ],
+)
+def test_mu0_small_reward_has_watching_non_subscribers(F, theta_max, C, w_of):
+    p = MarketParams(
+        N=1e7, F=F, Q=0.8, phi=0.3, K=23.0, A=0.6, B=5.0, C=C,
+        utility=AlphaFairUtility(alpha=0.8, mu=0.0), dist=UniformTypes(theta_max),
+    )
+    w = w_of(p)
+    assert w <= case_bound_a(p)
+    for scheme in (Scheme.SUR, Scheme.SURD):
+        pe = evaluate_point(p, w, scheme)
+        assert pe.case_label == "C^"
+        assert pe.ad.revenue > 0.0
+        assert pe.demand == pytest.approx(
+            _demand_by_segments(p, w, Scheme.SUR), rel=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +258,14 @@ def test_solution_invariants(fig5a_params, scheme):
         "scheme", "omega_star", "p_star", "p_star_I", "p_star_II",
         "r_data", "r_ad", "r_total", "demand", "case", "capacity_binding",
     }
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_records_hold_builtin_types(fig5a_params, scheme):
+    rec = solve(fig5a_params, scheme, FAST).to_record()
+    for key, value in rec.items():
+        assert type(value) in (float, bool, str, type(None)), (key, type(value))
+    json.dumps(rec)
 
 
 def test_solution_beats_sampled_feasible_rewards(fig5a_params):

@@ -12,6 +12,7 @@ from datarewards import (
     Scheme,
     SarCase,
     SurCase,
+    TruncatedNormalTypes,
     UniformTypes,
     best_response_sar,
     best_response_sur,
@@ -83,8 +84,41 @@ def test_infinite_marginal_collapses_lower_thresholds():
     p = _mk(AlphaFairUtility(alpha=0.5, mu=0.0), UniformTypes(155.0))
     assert case_bound_b_sur(p) == 0.0
     assert theta3(p, 0.004) == 0.0
-    # the no-watching and pooled-watching cases are squeezed out
-    assert classify_sur(p, case_bound_a(p) * 1.001) is SurCase.C
+    # the no-watching and pooled-watching cases are squeezed out: every
+    # positive reward below phi Q / F is case C^
+    assert classify_sur(p, 0.0) is SurCase.A
+    for w in np.geomspace(1e-6 * case_bound_a(p), 0.999 * case_bound_d(p), 25):
+        assert classify_sur(p, float(w)) is SurCase.C
+    assert classify_sur(p, case_bound_d(p)) is SurCase.D
+
+
+# alpha-fair mu = 0 (u'(0) infinite) markets of both type families
+_MU0_MARKETS = [
+    _mk(AlphaFairUtility(alpha=0.8, mu=0.0), UniformTypes(155.0)),
+    _mk(AlphaFairUtility(alpha=0.8, mu=0.0),
+        TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+        F=40.0, Q=2.0, phi=0.03, C=2.5e7),
+]
+
+
+@pytest.mark.parametrize("p", _MU0_MARKETS)
+def test_infinite_marginal_small_reward_matches_oracle(p):
+    # below case_bound_a even the top type's theta1 exceeds theta_max:
+    # no subscriber watches, but every non-subscriber with theta > 0 does
+    rng = np.random.default_rng(11)
+    a = case_bound_a(p)
+    for w in (0.01 * a, 0.3 * a, a):
+        thr = thresholds(p, w, scheme_aware=False)
+        assert thr.theta1 >= p.dist.theta_max * (1.0 - 1e-12)
+        assert thr.theta3 == 0.0 and thr.theta4 > thr.theta0
+        for theta in rng.uniform(0.0, p.dist.theta_max, 40):
+            mine = best_response_sur(p, float(theta), w)
+            if 0.0 < theta < thr.theta4:
+                assert mine.r == 0 and mine.x > 0.0
+            _, grid_payoff = oracle_user_br(p, float(theta), w, Scheme.SUR)
+            my_payoff = user_payoff(p, float(theta), mine.r, mine.x, w)
+            scale = max(abs(grid_payoff), abs(my_payoff), 1.0)
+            assert my_payoff >= grid_payoff - 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
