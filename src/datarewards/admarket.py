@@ -58,7 +58,6 @@ def watch_segments(
     params: MarketParams,
     w: float,
     scheme: Scheme,
-    user_class: UserClass = UserClass.ALL,
     thr: Thresholds | None = None,
 ) -> list[tuple[float, float, bool]]:
     """Analytic watching segments as (lo, hi, watcher_subscribes).
@@ -89,10 +88,6 @@ def watch_segments(
             segments.append((thr.theta1, theta_max, True))
         elif case is SurCase.D:
             segments.append((thr.theta3, theta_max, False))
-    if user_class is UserClass.SUBSCRIBERS:
-        segments = [s for s in segments if s[2]]
-    elif user_class is UserClass.NON_SUBSCRIBERS:
-        segments = [s for s in segments if not s[2]]
     return [(lo, hi, sub) for lo, hi, sub in segments if hi > lo]
 
 
@@ -117,7 +112,7 @@ def watch_moments(
     each from one quadrature pass. Demand and the pooled and per-class
     ad stats at reward w all derive from these."""
     out: list[WatchMoments] = []
-    for lo, hi, subscribes in watch_segments(params, w, scheme, UserClass.ALL, thr):
+    for lo, hi, subscribes in watch_segments(params, w, scheme, thr):
         seg_mass = mass(params.dist, lo, hi)
         if seg_mass <= 0.0:
             continue  # outside the density's support: nobody watches there

@@ -178,11 +178,16 @@ class UniformTypes:
 
     theta_max: float
     variant = "uniform"
-    theta_min = 0.0
 
     def __post_init__(self) -> None:
         if self.theta_max <= 0.0:
             raise ScenarioError(f"theta_max must be > 0, got {self.theta_max}")
+
+    def panel_edges(self, lo: float, hi: float) -> list[float]:
+        """[lo, hi] within the support as one quadrature panel: the
+        density is constant there."""
+        hi = min(hi, self.theta_max)
+        return [lo, hi] if hi > lo else []
 
     def pdf(self, theta):
         """Density at theta; theta may be a float or an array."""
@@ -234,12 +239,25 @@ class TruncatedNormalTypes:
         object.__setattr__(self, "_mass", mass)
 
     @property
-    def theta_min(self) -> float:
-        return self.lo
-
-    @property
     def theta_max(self) -> float:
         return self.hi
+
+    def panel_edges(self, lo: float, hi: float) -> list[float]:
+        """Equal quadrature panels covering [lo, hi] within the support.
+
+        The density jumps to 0 at the truncation points and underflows
+        beyond 40 sd, so the panels stay inside both. A panel of half
+        width r sd whose farthest point lies z sd from the mean is
+        resolved by the 32-node rule to about 1e-14 relative while
+        r max(z, 5) <= 25: 10 sd around the mean, narrower in the tails.
+        """
+        lo = max(lo, self.lo, self.mean - 40.0 * self.sd)
+        hi = min(hi, self.hi, self.mean + 40.0 * self.sd)
+        if hi <= lo:
+            return []
+        z_far = max(abs(lo - self.mean), abs(hi - self.mean)) / self.sd
+        n = math.ceil(0.5 * (hi - lo) / self.sd * max(z_far, 5.0) / 25.0)
+        return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
     def pdf(self, theta):
         """Density at theta; theta may be a float or an array."""
@@ -267,10 +285,25 @@ class TruncatedNormalTypes:
 TypeDistribution = UniformTypes | TruncatedNormalTypes
 
 
-# 32-node Gauss-Legendre rule, mapped once from [-1, 1] to [0, 1]
+# 32-node Gauss-Legendre rule on [0, 1], plain and under theta = s^2
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_V = 0.5 * _GL_WEIGHTS
+_GL_S2 = _GL_S * _GL_S
+_GL_V2 = 2.0 * _GL_S * _GL_V
+
+# ratio of consecutive panel edges graded toward theta = 0
+_GRADING = 10.0
+
+
+def _panel_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule on the panel [a, b]. A panel that
+    starts within a tenth of its width of theta = 0 is mapped by
+    theta = a + (b - a) s^2, which clusters the nodes at a."""
+    width = b - a
+    if a < 0.1 * width:
+        return a + width * _GL_S2, width * _GL_V2
+    return a + width * _GL_S, width * _GL_V
 
 
 def integrate(
@@ -280,35 +313,52 @@ def integrate(
     hi: float,
 ) -> float | np.ndarray:
     """Weighted integral of f(theta) g(theta) over [lo, hi] by a fixed
-    32-node Gauss-Legendre rule.
+    32-node Gauss-Legendre rule on each of a few panels.
 
-    f receives the array of nodes and returns its values there; a
-    scalar return broadcasts. If f returns k stacked rows of values,
-    the k integrals come back as an array from the same node pass. An
-    interval outside the density's support integrates to 0.0.
+    f receives the array of nodes of all panels and returns its values
+    there; a scalar return broadcasts. If f returns k stacked rows of
+    values, the k integrals come back as an array from the same node
+    pass. An interval outside the density's support integrates to 0.0.
 
     Callers pass analytic segment endpoints, so the integrand is smooth
-    on [lo, hi]; kinks of the best-response maps sit exactly at the
-    segment boundaries. A segment from theta = 0 is mapped by
-    theta = lo + (hi - lo) s^2: with u'(0) infinite the watch rate
-    grows like a fractional power of theta there, where the plain rule
-    errs by up to 2.4e-8 relative and the mapped one by 2e-13.
+    on [lo, hi] apart from theta = 0: kinks of the best-response maps
+    sit exactly at the segment boundaries, and the watch rates are
+    functions of phi / (w theta), singular at theta = 0 (a fractional
+    power for alpha-fair utility, a logarithm for exponential utility).
+    The panels are
+    - those of the density (`panel_edges`), which resolve a narrow
+      truncated normal;
+    - the panel nearest 0, graded by factors of 10 toward 0 when it
+      starts closer to 0 than a hundredth of its end (at most 10
+      levels; 1 when it starts at 0), so that each piece but the
+      innermost lies a ninth of its width or more away from the
+      singularity;
+    - mapped by theta = a + (b - a) s^2 when they start within a tenth
+      of their width of 0. A mapped panel resolves the watch rates to
+      5e-15 relative down to a start at a hundredth of its width. With
+      mu = 0 the watch rate grows like theta^(1/alpha) from theta = 0,
+      where the plain rule errs by up to 2.4e-8 relative and the mapped
+      one by 2e-13.
     """
     if not 0.0 <= lo <= hi <= dist.theta_max * (1.0 + 1e-12):
         raise DomainError(
             f"integration limits [{lo}, {hi}] outside [0, {dist.theta_max}]"
         )
-    # the density jumps to 0 below its support: integrate where it is smooth
-    lo = max(lo, dist.theta_min)
-    if hi <= lo:
+    edges = dist.panel_edges(lo, hi)
+    if not edges:
         return 0.0
-    width = hi - lo
-    if lo == 0.0:
-        theta = width * _GL_S * _GL_S
-        weights = 2.0 * width * _GL_S * _GL_V
+    a, b = edges[0], edges[1]
+    if a < b / _GRADING**2:
+        levels = 1
+        while 0.0 < a * _GRADING ** (levels + 1) < b and levels < 10:
+            levels += 1
+        edges[1:1] = [b / _GRADING**j for j in range(levels, 0, -1)]
+    if len(edges) == 2:
+        theta, weights = _panel_nodes(a, b)
     else:
-        theta = lo + width * _GL_S
-        weights = width * _GL_V
+        panels = [_panel_nodes(*panel) for panel in zip(edges, edges[1:])]
+        theta = np.concatenate([t for t, _ in panels])
+        weights = np.concatenate([v for _, v in panels])
     # the weights are positive: any non-finite value makes the sum non-finite
     value = np.multiply(f(theta), dist.pdf(theta)) @ weights
     if not np.isfinite(value).all():

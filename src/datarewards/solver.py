@@ -150,10 +150,7 @@ def demand(
         thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
     if moments is None:
         moments = watch_moments(params, w, scheme, thr)
-    # without watchers this is exactly the zero-reward demand D(0)
     quota = params.N * params.Q * _subscriber_mass(params, w, scheme, thr)
-    if not moments:
-        return quota
     return quota + params.N * w * sum(m.ex for m in moments)
 
 
