@@ -205,13 +205,18 @@ class UniformTypes:
             return 1.0
         return theta / self.theta_max
 
+    def mass(self, lo: float, hi: float) -> float:
+        """Probability of [lo, hi]."""
+        return self.cdf(hi) - self.cdf(lo)
+
 
 @dataclass(frozen=True)
 class TruncatedNormalTypes:
     """Normal(mean, sd) truncated to [lo, hi].
 
-    Normalized by parent-CDF differences so the density integrates to 1
-    however much mass the parent loses to truncation.
+    Normalized by the parent's mass on [lo, hi] (`_normal_mass`), so
+    the density integrates to 1 however much mass the parent loses to
+    truncation.
     """
 
     mean: float
@@ -227,11 +232,9 @@ class TruncatedNormalTypes:
             raise ScenarioError(
                 f"truncation needs hi > lo, got [{self.lo}, {self.hi}]"
             )
-        # ndtr is the standard normal CDF evaluated via erfc: stable in
-        # both tails, so the normalizing mass never cancels to zero.
-        z_lo = (self.lo - self.mean) / self.sd
-        z_hi = (self.hi - self.mean) / self.sd
-        mass = float(ndtr(z_hi) - ndtr(z_lo))
+        mass = _normal_mass(
+            (self.lo - self.mean) / self.sd, (self.hi - self.mean) / self.sd
+        )
         if mass <= 0.0:
             raise ScenarioError(
                 "truncation interval carries no parent-normal mass"
@@ -273,13 +276,26 @@ class TruncatedNormalTypes:
         return phi / (self.sd * self._mass)  # type: ignore[attr-defined]
 
     def cdf(self, theta: float) -> float:
-        if theta <= self.lo:
+        return self.mass(self.lo, theta)
+
+    def mass(self, lo: float, hi: float) -> float:
+        """Probability of [lo, hi]."""
+        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        if hi <= lo:
             return 0.0
-        if theta >= self.hi:
-            return 1.0
-        z_lo = (self.lo - self.mean) / self.sd
-        z = (theta - self.mean) / self.sd
-        return float(ndtr(z) - ndtr(z_lo)) / self._mass  # type: ignore[attr-defined]
+        return _normal_mass(
+            (lo - self.mean) / self.sd, (hi - self.mean) / self.sd
+        ) / self._mass  # type: ignore[attr-defined]
+
+
+def _normal_mass(z_a: float, z_b: float) -> float:
+    """Standard normal probability of [z_a, z_b]. ndtr evaluates the CDF
+    via erfc, accurately in the lower tail; above the mean the mass is
+    taken from the upper tail, ndtr(-z_a) - ndtr(-z_b), because
+    ndtr(z_b) - ndtr(z_a) cancels there and is 0.0 beyond about 8.3 sd."""
+    if z_a > 0.0:
+        return float(ndtr(-z_a) - ndtr(-z_b))
+    return float(ndtr(z_b) - ndtr(z_a))
 
 
 TypeDistribution = UniformTypes | TruncatedNormalTypes
@@ -367,15 +383,19 @@ def integrate(
 
 
 def mass(dist: TypeDistribution, lo: float, hi: float) -> float:
-    """Probability mass of [lo, hi] via CDF differences (exact, fast)."""
+    """Probability mass of [lo, hi], in closed form."""
     if hi <= lo:
         return 0.0
-    return dist.cdf(hi) - dist.cdf(lo)
+    return dist.mass(lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # Market parameters
 # ---------------------------------------------------------------------------
+
+# relative shortfall of the capacity below the zero-reward demand D(0)
+# that a market may have: rounding in D(0), not a real excess
+CAPACITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -431,7 +451,7 @@ class MarketParams:
                 )
 
         d0 = self.baseline_demand()
-        if self.C < d0 * (1.0 - 1e-12):
+        if self.C < d0 * (1.0 - CAPACITY_RTOL):
             raise ScenarioError(
                 f"capacity C={self.C:.6g} below zero-reward demand D(0)={d0:.6g}"
             )

@@ -2,15 +2,26 @@
 
 Everything here rediscovers equilibrium structure from raw payoff
 maximization on grids: no threshold solving, no case classification.
-The only model knowledge shared with the analytic modules is the
-payoff expressions themselves. Orders of magnitude slower than the
-solver by design.
+Besides the payoff expressions, the oracle relies on two properties
+that hold for every utility family, and on nothing else:
+- u is concave, so on the uniform x grid each type's payoff
+  theta u(Q r + w x) - F r - phi x is concave in the grid index;
+- that payoff has increasing differences in (theta, x), so the best
+  grid index never decreases with theta (Topkis).
+The discretized best responses (`_br_grid`) use the second to place a
+small search window for each type and the first to know when the
+window holds the type's best: once its edges fall short of its best by
+more than rounding can move a payoff, a concave row cannot climb back
+beyond them. Their answer is that of the exhaustive scan of the full
+payoff table, bit for bit. `oracle_user_br`, the single-user reference
+the analytic best responses are checked against, scans exhaustively.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +55,7 @@ class DiscretizedMarket:
         edges = np.linspace(0.0, theta_max, m + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         dtheta = theta_max / m
-        weights = np.array([params.dist.pdf(t) for t in mids]) * dtheta
+        weights = params.dist.pdf(mids) * dtheta
         weights = weights / weights.sum()
         return cls(theta_grid=mids, weights=weights, n_x=n_x,
                    n_omega=n_omega, n_p=n_p)
@@ -148,16 +159,83 @@ def oracle_adv_br(
     return float(m_grid[int(np.argmax(payoffs))])
 
 
+# half-width of the first index window each payoff row is searched in;
+# rows not settled there are searched again in one four times as wide
+_HALF_WIDTH = 4
+# share of a payoff row's scale by which a settled window's edges must
+# fall short of the row's best; rounding moves an entry by far less
+_ROUNDING_MARGIN = 1e-12
+
+
+def _windowed_argmax(
+    payoff: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    guess: np.ndarray,
+    margin: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost argmax over grid indices 0..n-1, and its value, of each
+    row of a table whose rows are concave up to rounding.
+
+    `payoff(rows, cand)` returns the entries of those rows at the index
+    array `cand` of shape (len(rows), width). Row i is searched in a
+    window of indices around `guess[i]` and is settled when every
+    window edge inside the grid lies more than `margin[i]` below the
+    window's best. If rounding moves no entry by more than half the
+    margin from a concave row, no index outside a settled window
+    reaches that best. Unsettled rows are searched again in a window
+    four times as wide, which ends at the whole grid.
+    """
+    m = len(guess)
+    idx = np.zeros(m, dtype=np.int64)
+    val = np.empty(m)
+    rows = np.arange(m)
+    half = _HALF_WIDTH
+    while rows.size:
+        width = min(2 * half + 1, n)
+        lo = np.clip(guess[rows] - half, 0, n - width)
+        cand = lo[:, None] + np.arange(width)
+        table = payoff(rows, cand)
+        j = np.argmax(table, axis=1)
+        best = table[np.arange(rows.size), j]
+        floor = best - margin[rows]
+        unsettled = ((lo > 0) & (table[:, 0] >= floor)) | (
+            (lo + width < n) & (table[:, -1] >= floor)
+        )
+        done = ~unsettled
+        idx[rows[done]] = cand[done, j[done]]
+        val[rows[done]] = best[done]
+        rows = rows[unsettled]
+        half *= 4
+    return idx, val
+
+
 def _br_grid(
     params: MarketParams,
     market: DiscretizedMarket,
     w: float,
     scheme: Scheme,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized best responses of every discretized user at reward w.
+    """Best responses of every discretized user at reward w: for each
+    type, the leftmost maximum over r and over a shared x grid (sized
+    from the highest type's balance level) of
+    theta u(Q r + w x) - F r - phi x.
 
-    A shared x grid (sized from the highest type's balance level) keeps
-    the search exhaustive while letting numpy do the heavy lifting.
+    The result is that of the exhaustive m x n_x payoff table, bit for
+    bit, at O(n_x + m log n_x) cost. For fixed r, type theta's row is
+    theta b_k - F r - phi x_k with b_k = u(Q r + w x_k). The grid is
+    uniform and u concave, so the row is concave in k and its leftmost
+    argmax is the number of breakpoints
+    t_k = phi (x_{k+1} - x_k) / (b_{k+1} - b_k) below theta. Increasing
+    differences make that count nondecreasing in theta, so one sorted
+    array (the running maximum of t, which rounding can leave unsorted)
+    places every row. Each row evaluates the table's own payoff
+    expression on a window of indices around its count. The count only
+    places the window: `_windowed_argmax` widens it until its edges fall
+    short of the row's best by 1e-12 of the row's scale
+    theta (max|b| + c) + F r + phi x_max, c being the constant the
+    alpha-fair utility subtracts. Rounding moves an entry off the
+    concave row by a few ulps of that scale, far inside half that
+    margin.
     """
     thetas = market.theta_grid
     m = len(thetas)
@@ -166,6 +244,11 @@ def _br_grid(
         x_grid = np.array([0.0])
     else:
         x_grid = np.linspace(0.0, x_hi, market.n_x)
+    u = params.utility
+    offset = (
+        u.mu ** (1.0 - u.alpha) / (1.0 - u.alpha)
+        if u.variant == "alpha_fair" else 0.0
+    )
 
     best_r = np.zeros(m, dtype=np.int64)
     best_x = np.zeros(m)
@@ -176,9 +259,18 @@ def _br_grid(
         else:
             xs = x_grid
         base = _u_vec(params, params.Q * r + w * xs)  # (n_x,)
-        payoff = thetas[:, None] * base[None, :] - params.F * r - params.phi * xs[None, :]
-        idx = np.argmax(payoff, axis=1)
-        val = payoff[np.arange(m), idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            breaks = params.phi * np.diff(xs) / np.diff(base)
+        guess = np.searchsorted(np.fmax.accumulate(breaks), thetas)
+        scale = (
+            thetas * (np.abs(base).max() + offset)
+            + params.F * r + params.phi * xs[-1]
+        )
+
+        def payoff(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+            return thetas[rows, None] * base[cand] - params.F * r - params.phi * xs[cand]
+
+        idx, val = _windowed_argmax(payoff, len(xs), guess, _ROUNDING_MARGIN * scale)
         improved = val > best_payoff
         best_payoff = np.where(improved, val, best_payoff)
         best_r = np.where(improved, r, best_r)

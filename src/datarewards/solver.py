@@ -29,7 +29,7 @@ from .admarket import (
     watch_moments,
 )
 from .errors import InternalConsistencyError, UnboundedSearchError
-from .model import MarketParams, mass
+from .model import CAPACITY_RTOL, MarketParams, mass
 from .numerics import golden_max
 from .users import (
     SarCase,
@@ -327,13 +327,15 @@ def feasible_region(
     cap = _omega_cap(params, config)
     breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
     grid = _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
-    feas = np.array(
-        [demand(params, w, Scheme.SUR) <= params.C for w in grid]
-    )
-    if not feas[0]:
+    demands = np.array([demand(params, w, Scheme.SUR) for w in grid])
+    # the zero reward is feasible within the tolerance MarketParams
+    # grants the capacity below D(0)
+    if demands[0] * (1.0 - CAPACITY_RTOL) > params.C:
         raise InternalConsistencyError(
             "zero reward infeasible despite capacity covering baseline demand"
         )
+    feas = demands <= params.C
+    feas[0] = True
 
     def refine(w_feas: float, w_infeas: float) -> float:
         # returns a feasible reward adjacent to the boundary

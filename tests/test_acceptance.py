@@ -294,7 +294,6 @@ def test_criterion_8a_user_best_response_oracle(fig5a_params):
             )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "preset,capacity,scheme",
     [

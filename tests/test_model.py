@@ -346,6 +346,25 @@ def test_segment_from_zero_matches_quad(alpha, dist):
         assert _segment_moments_match_quad(p, w, Scheme.SUR)
 
 
+@pytest.mark.parametrize(
+    "mean,lo,hi",
+    [
+        # the parent normal's mass on [0, 150] is about 7.6e-24
+        (-100.0, 0.0, 150.0),
+        (-100.0, 0.0, 0.5),
+        (-100.0, 0.5, 3.0),
+        # 8.5 sd and more above the mean: about 1.9e-17
+        (0.0, 85.0, 150.0),
+        (0.0, 5.0, 85.0),
+    ],
+)
+def test_far_tail_mass_matches_integral(mean, lo, hi):
+    dist = TruncatedNormalTypes(mean=mean, sd=10.0, lo=0.0, hi=150.0)
+    want = integrate(dist, lambda t: 1.0, lo, hi)
+    assert want > 0.0
+    assert mass(dist, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_pdf_positive_inside_zero_outside():
     dist = TruncatedNormalTypes(mean=125.0, sd=30.0, lo=0.0, hi=250.0)
     assert dist.pdf(0.0) > 0.0

@@ -230,6 +230,25 @@ def test_feasible_region_boundaries_sharp(fig5a_params):
     assert demand(p, b * (1.0 + 1e-6), Scheme.SUR) > p.C
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_capacity_within_tolerance_below_baseline_solves(scheme):
+    # MarketParams accepts C down to D(0) (1 - 1e-12); the zero reward
+    # is then the only feasible one, within that tolerance
+    d0 = _log_uniform().baseline_demand()
+    p = _log_uniform(C=d0 * (1.0 - 1e-13))
+    out = solve(p, scheme, FAST)
+    assert out.omega_star == 0.0
+    assert out.demand <= p.C * (1.0 + 1e-12)
+
+
+def test_zero_reward_beyond_tolerance_is_an_error():
+    p = _log_uniform()
+    # bypass validation: a capacity MarketParams would reject
+    object.__setattr__(p, "C", p.baseline_demand() * (1.0 - 1e-9))
+    with pytest.raises(InternalConsistencyError, match="zero reward"):
+        feasible_region(p, FAST)
+
+
 def test_inverted_interval_rejected():
     with pytest.raises(InternalConsistencyError):
         FeasibleRegion(intervals=((0.0, 1.0), (3.0, 2.0)))
