@@ -13,11 +13,9 @@ from .admarket import (
     AdMarketStats,
     AdSideOutcome,
     UserClass,
-    ad_revenue,
     ad_side,
     ad_stats,
     advertiser_best_response,
-    cpm_revenue,
     optimal_price,
 )
 from .errors import (
@@ -38,10 +36,7 @@ from .model import (
     TypeDistribution,
     UniformTypes,
     UtilityModel,
-    eval_u,
-    eval_u_prime,
     integrate,
-    inverse_marginal,
     load_scenario,
     params_from_dict,
     params_to_dict,

@@ -20,8 +20,6 @@ from .users import (
     SarCase,
     SurCase,
     Thresholds,
-    classify_sar,
-    classify_sur,
     thresholds,
     x_watch_alone,
     x_watch_subscriber,
@@ -65,29 +63,22 @@ def watch_segments(
     The segment endpoints are the thresholds themselves; integrals over
     them never scan indicator functions.
     """
-    if w <= 0.0:
-        return []
     if thr is None:
         thr = thresholds(params, w, _aware(scheme))
     theta_max = params.dist.theta_max
+    case = thr.case
     segments: list[tuple[float, float, bool]] = []
-    if scheme is Scheme.SAR:
-        case = classify_sar(params, w)
-        if case is SarCase.B:
-            segments.append((thr.theta1, theta_max, True))
-        elif case is SarCase.C:
-            assert thr.theta2 is not None
-            segments.append((thr.theta2, theta_max, True))
-    else:
-        case = classify_sur(params, w)
-        if case is SurCase.B:
-            segments.append((thr.theta1, theta_max, True))
-        elif case is SurCase.C:
-            assert thr.theta4 is not None
-            segments.append((thr.theta3, min(thr.theta4, theta_max), False))
-            segments.append((thr.theta1, theta_max, True))
-        elif case is SurCase.D:
-            segments.append((thr.theta3, theta_max, False))
+    if case is SarCase.B or case is SurCase.B:
+        segments.append((thr.theta1, theta_max, True))
+    elif case is SarCase.C:
+        assert thr.theta2 is not None
+        segments.append((thr.theta2, theta_max, True))
+    elif case is SurCase.C:
+        assert thr.theta4 is not None
+        segments.append((thr.theta3, min(thr.theta4, theta_max), False))
+        segments.append((thr.theta1, theta_max, True))
+    elif case is SurCase.D:
+        segments.append((thr.theta3, theta_max, False))
     return [(lo, hi, sub) for lo, hi, sub in segments if hi > lo]
 
 
@@ -158,21 +149,48 @@ def ad_stats(
     )
 
 
-def advertiser_best_response(
-    stats: AdMarketStats, params: MarketParams, p: float
-) -> float:
-    """Slots one advertiser buys at price p (vertex of its quadratic payoff)."""
+def grid_stats(
+    params: MarketParams, seg_mass: np.ndarray, ex: np.ndarray, ex2: np.ndarray
+) -> AdMarketStats:
+    """`ad_stats` at many rewards at once, from the summed mass, int x g
+    and int x^2 g of the watch segments of each pool: an AdMarketStats
+    whose fields are arrays."""
+    watched = seg_mass > 0.0
+    denom = np.where(watched, seg_mass, 1.0)
+    return AdMarketStats(
+        n_ad=np.where(watched, params.N * seg_mass, 0.0),
+        ey=np.where(watched, ex / denom, 0.0),
+        ey2=np.where(watched, ex2 / denom, 0.0),
+    )
+
+
+def advertiser_best_response(stats: AdMarketStats, params: MarketParams, p):
+    """Slots one advertiser buys at price p (vertex of its quadratic
+    payoff); elementwise for the array fields of `grid_stats`."""
+    if isinstance(stats.n_ad, np.ndarray):
+        buys = (stats.n_ad > 0.0) & (p < params.B) & (stats.ey2 > 0.0)
+        ey2 = np.where(buys, stats.ey2, 1.0)
+        m = (params.B - p) / (2.0 * params.A) * (stats.ey**2 / ey2) * stats.n_ad
+        return np.where(buys, m, 0.0)
     if stats.n_ad <= 0.0 or p >= params.B or stats.ey2 <= 0.0:
         return 0.0
     return (params.B - p) / (2.0 * params.A) * (stats.ey**2 / stats.ey2) * stats.n_ad
 
 
-def optimal_price(stats: AdMarketStats, params: MarketParams) -> float:
-    """Revenue-maximizing slot price for the given watcher pool.
+def optimal_price(stats: AdMarketStats, params: MarketParams):
+    """Revenue-maximizing slot price for the given watcher pool;
+    elementwise for the array fields of `grid_stats`.
 
     With no watchers any positive price yields zero revenue; B/2 is
     returned so outputs stay deterministic.
     """
+    if isinstance(stats.n_ad, np.ndarray):
+        priced = (stats.n_ad > 0.0) & (stats.ey > 0.0)
+        ey = np.where(priced, stats.ey, 1.0)
+        p = np.maximum(
+            params.B / 2.0, params.B - 2.0 * params.A * stats.ey2 / (params.K * ey)
+        )
+        return np.where(priced, p, params.B / 2.0)
     if stats.n_ad <= 0.0 or stats.ey <= 0.0:
         return params.B / 2.0
     return max(
@@ -191,7 +209,9 @@ class AdSideOutcome:
     p_star_ii: float | None  # non-subscriber-slot price (differentiated)
 
 
-def _pool_revenue(stats: AdMarketStats, params: MarketParams) -> tuple[float, float]:
+def pool_revenue(stats: AdMarketStats, params: MarketParams):
+    """Ad revenue of one watcher pool at its optimal price, and that
+    price; elementwise for the array fields of `grid_stats`."""
     p = optimal_price(stats, params)
     m = advertiser_best_response(stats, params, p)
     return params.K * m * p, p
@@ -211,28 +231,20 @@ def ad_side(
     pricing problems have the same structure as the pooled one); with a
     single watcher class it coincides with the unaware scheme.
     """
+    if thr is None:
+        thr = thresholds(params, w, _aware(scheme))
     if moments is None:
         moments = watch_moments(params, w, scheme, thr)
-    if scheme is Scheme.SURD and classify_sur(params, w) is SurCase.C:
-        rev_i, p_i = _pool_revenue(
+    if scheme is Scheme.SURD and thr.case is SurCase.C:
+        rev_i, p_i = pool_revenue(
             ad_stats(params, w, scheme, UserClass.SUBSCRIBERS, moments=moments),
             params,
         )
-        rev_ii, p_ii = _pool_revenue(
+        rev_ii, p_ii = pool_revenue(
             ad_stats(params, w, scheme, UserClass.NON_SUBSCRIBERS, moments=moments),
             params,
         )
         return AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
     stats = ad_stats(params, w, scheme, UserClass.ALL, moments=moments)
-    rev, p = _pool_revenue(stats, params)
+    rev, p = pool_revenue(stats, params)
     return AdSideOutcome(rev, p, None, None)
-
-
-def ad_revenue(params: MarketParams, w: float, scheme: Scheme) -> float:
-    """Ad revenue at reward w under the scheme's optimal slot price(s)."""
-    return ad_side(params, w, scheme).revenue
-
-
-def cpm_revenue(views: float, cpm: float) -> float:
-    """Revenue of a block of ad views priced per mille."""
-    return views / 1000.0 * cpm

@@ -37,11 +37,22 @@ class Scheme(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _argument_error(z) -> DomainError:
+    return DomainError(f"utility argument must be >= 0, got {z}")
+
+
+def _check_arguments(z: np.ndarray) -> None:
+    """Raise DomainError unless every entry of z is >= 0."""
+    low = z.min(initial=math.inf)
+    if low < 0:
+        raise _argument_error(low)
+
+
 def _check_marginal(s, up0: float = math.inf) -> None:
     """Raise DomainError unless 0 < s <= u'(0) (1 + 1e-12), elementwise
     when s is an array."""
     if isinstance(s, np.ndarray):
-        lo, hi = s.min(), s.max()
+        lo, hi = s.min(initial=math.inf), s.max(initial=-math.inf)
     else:
         lo = hi = s
     if lo <= 0:
@@ -56,14 +67,21 @@ class LogUtility:
 
     variant = "logarithmic"
 
-    def u(self, z: float) -> float:
+    def u(self, z):
+        """u(z); z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+            return np.log1p(z)
         if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+            raise _argument_error(z)
         return math.log1p(z)
 
-    def u_prime(self, z: float) -> float:
-        if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+    def u_prime(self, z):
+        """u'(z); z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+        elif z < 0:
+            raise _argument_error(z)
         return 1.0 / (1.0 + z)
 
     @property
@@ -95,15 +113,23 @@ class AlphaFairUtility:
         if self.mu < 0.0:
             raise ScenarioError(f"mu must be >= 0, got {self.mu}")
 
-    def u(self, z: float) -> float:
-        if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+    def u(self, z):
+        """u(z); z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+        elif z < 0:
+            raise _argument_error(z)
         a, mu = self.alpha, self.mu
         return ((z + mu) ** (1.0 - a) - mu ** (1.0 - a)) / (1.0 - a)
 
-    def u_prime(self, z: float) -> float:
+    def u_prime(self, z):
+        """u'(z), +inf at z + mu = 0; z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+            with np.errstate(divide="ignore"):
+                return (z + self.mu) ** (-self.alpha)
         if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+            raise _argument_error(z)
         if z + self.mu == 0.0:
             return math.inf
         return (z + self.mu) ** (-self.alpha)
@@ -131,14 +157,22 @@ class ExpUtility:
         if self.gamma <= 0.0:
             raise ScenarioError(f"gamma must be > 0, got {self.gamma}")
 
-    def u(self, z: float) -> float:
+    def u(self, z):
+        """u(z); z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+            return -np.expm1(-self.gamma * z)
         if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+            raise _argument_error(z)
         return -math.expm1(-self.gamma * z)
 
-    def u_prime(self, z: float) -> float:
+    def u_prime(self, z):
+        """u'(z); z may be a float or an array."""
+        if isinstance(z, np.ndarray):
+            _check_arguments(z)
+            return self.gamma * np.exp(-self.gamma * z)
         if z < 0:
-            raise DomainError(f"utility argument must be >= 0, got {z}")
+            raise _argument_error(z)
         return self.gamma * math.exp(-self.gamma * z)
 
     @property
@@ -153,18 +187,6 @@ class ExpUtility:
 
 
 UtilityModel = LogUtility | AlphaFairUtility | ExpUtility
-
-
-def eval_u(model: UtilityModel, z: float) -> float:
-    return model.u(z)
-
-
-def eval_u_prime(model: UtilityModel, z: float) -> float:
-    return model.u_prime(z)
-
-
-def inverse_marginal(model: UtilityModel, s: float) -> float:
-    return model.inverse_marginal(s)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +211,14 @@ class UniformTypes:
         hi = min(hi, self.theta_max)
         return [lo, hi] if hi > lo else []
 
+    def panel_layout(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`panel_edges` for arrays of segments: the clipped limits of
+        each and its number of equal panels (0 for none)."""
+        hi = np.minimum(hi, self.theta_max)
+        return lo, hi, (hi > lo).astype(np.int64)
+
     def pdf(self, theta):
         """Density at theta; theta may be a float or an array."""
         if isinstance(theta, np.ndarray):
@@ -198,15 +228,18 @@ class UniformTypes:
             return 1.0 / self.theta_max
         return 0.0
 
-    def cdf(self, theta: float) -> float:
+    def cdf(self, theta):
+        """CDF at theta; theta may be a float or an array."""
+        if isinstance(theta, np.ndarray):
+            return np.clip(theta / self.theta_max, 0.0, 1.0)
         if theta <= 0.0:
             return 0.0
         if theta >= self.theta_max:
             return 1.0
         return theta / self.theta_max
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Probability of [lo, hi]."""
+    def mass(self, lo, hi):
+        """Probability of [lo, hi]; lo and hi may be floats or arrays."""
         return self.cdf(hi) - self.cdf(lo)
 
 
@@ -262,6 +295,17 @@ class TruncatedNormalTypes:
         n = math.ceil(0.5 * (hi - lo) / self.sd * max(z_far, 5.0) / 25.0)
         return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
+    def panel_layout(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`panel_edges` for arrays of segments: the clipped limits of
+        each and its number of equal panels (0 for none)."""
+        lo = np.maximum(np.maximum(lo, self.lo), self.mean - 40.0 * self.sd)
+        hi = np.minimum(np.minimum(hi, self.hi), self.mean + 40.0 * self.sd)
+        z_far = np.maximum(np.abs(lo - self.mean), np.abs(hi - self.mean)) / self.sd
+        n = np.ceil(0.5 * (hi - lo) / self.sd * np.maximum(z_far, 5.0) / 25.0)
+        return lo, hi, np.where(hi > lo, n, 0.0).astype(np.int64)
+
     def pdf(self, theta):
         """Density at theta; theta may be a float or an array."""
         if isinstance(theta, np.ndarray):
@@ -275,11 +319,16 @@ class TruncatedNormalTypes:
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return phi / (self.sd * self._mass)  # type: ignore[attr-defined]
 
-    def cdf(self, theta: float) -> float:
+    def cdf(self, theta):
+        """CDF at theta; theta may be a float or an array."""
         return self.mass(self.lo, theta)
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Probability of [lo, hi]."""
+    def mass(self, lo, hi):
+        """Probability of [lo, hi]; lo and hi may be floats or arrays."""
+        if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+            lo, hi = np.maximum(lo, self.lo), np.minimum(hi, self.hi)
+            m = _normal_mass((lo - self.mean) / self.sd, (hi - self.mean) / self.sd)
+            return np.where(hi > lo, m / self._mass, 0.0)  # type: ignore[attr-defined]
         lo, hi = max(lo, self.lo), min(hi, self.hi)
         if hi <= lo:
             return 0.0
@@ -288,11 +337,14 @@ class TruncatedNormalTypes:
         ) / self._mass  # type: ignore[attr-defined]
 
 
-def _normal_mass(z_a: float, z_b: float) -> float:
-    """Standard normal probability of [z_a, z_b]. ndtr evaluates the CDF
-    via erfc, accurately in the lower tail; above the mean the mass is
-    taken from the upper tail, ndtr(-z_a) - ndtr(-z_b), because
-    ndtr(z_b) - ndtr(z_a) cancels there and is 0.0 beyond about 8.3 sd."""
+def _normal_mass(z_a, z_b):
+    """Standard normal probability of [z_a, z_b], elementwise for
+    arrays. ndtr evaluates the CDF via erfc, accurately in the lower
+    tail; above the mean the mass is taken from the upper tail,
+    ndtr(-z_a) - ndtr(-z_b), because ndtr(z_b) - ndtr(z_a) cancels
+    there and is 0.0 beyond about 8.3 sd."""
+    if isinstance(z_a, np.ndarray):
+        return np.where(z_a > 0.0, ndtr(-z_a) - ndtr(-z_b), ndtr(z_b) - ndtr(z_a))
     if z_a > 0.0:
         return float(ndtr(-z_a) - ndtr(-z_b))
     return float(ndtr(z_b) - ndtr(z_a))
@@ -310,6 +362,10 @@ _GL_V2 = 2.0 * _GL_S * _GL_V
 
 # ratio of consecutive panel edges graded toward theta = 0
 _GRADING = 10.0
+_GRADING_POWERS = np.array([_GRADING**j for j in range(12)])
+
+# panels per node chunk of `integrate_segments`: 512 x 32 nodes
+_CHUNK_PANELS = 512
 
 
 def _panel_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +438,81 @@ def integrate(
     return float(value) if value.ndim == 0 else value
 
 
-def mass(dist: TypeDistribution, lo: float, hi: float) -> float:
-    """Probability mass of [lo, hi], in closed form."""
+def integrate_segments(
+    dist: TypeDistribution,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rows: int,
+) -> np.ndarray:
+    """`integrate` on many segments [lo[i], hi[i]] at once.
+
+    The panels are those `integrate` lays out (the density's, graded
+    toward 0, s^2-mapped near it), built for all segments with array
+    arithmetic. f(theta, seg) receives nodes and the index of each
+    node's segment and returns `rows` stacked rows of values there.
+    Returns the (rows, len(lo)) integrals; an empty segment gives 0.0.
+    Nodes are made and evaluated at most _CHUNK_PANELS panels at a
+    time, so memory stays bounded however many panels a narrow density
+    needs.
+    """
+    a, b, n = dist.panel_layout(lo, hi)
+    # edge i of the density's equal panels of segment s, as panel_edges
+    # computes it; i = n is the segment's end
+    span, n_div = b - a, np.maximum(n, 1)
+
+    def density_edge(s, i):
+        return np.where(i >= n[s], b[s], a[s] + span[s] * i / n_div[s])
+
+    # the panel nearest 0 is split at e1 / 10^levels, ..., e1 / 10
+    e1 = density_edge(np.arange(len(a)), 1)
+    levels = 1 + sum(
+        (0.0 < a * _GRADING**j) & (a * _GRADING**j < e1) for j in range(2, 11)
+    )
+    graded = np.where((n > 0) & (a < e1 / _GRADING**2), levels, 0)
+    # panel k of a segment graded g levels: [a, e1 / 10^g] for k = 0,
+    # [e1 / 10^(g-k+1), e1 / 10^(g-k)] up to k = g, then the density's
+    # panel k - g; with g = 0 simply the density's panel k
+    count = np.where(n > 0, n + graded, 0)
+    seg = np.repeat(np.arange(len(a)), count)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    g = graded[seg]
+    j = k - g
+    e1_seg = e1[seg]
+    left = np.where(
+        k == 0, a[seg],
+        np.where(j >= 1, density_edge(seg, j),
+                 e1_seg / _GRADING_POWERS[np.clip(1 - j, 0, 11)]),
+    )
+    right = np.where(
+        j >= 0, density_edge(seg, j + 1),
+        e1_seg / _GRADING_POWERS[np.clip(-j, 0, 11)],
+    )
+
+    out = np.zeros((rows, len(a)))
+    for start in range(0, len(seg), _CHUNK_PANELS):
+        part = slice(start, start + _CHUNK_PANELS)
+        lft, width, s = left[part, None], (right - left)[part, None], seg[part]
+        mapped = lft < 0.1 * width
+        theta = (lft + width * np.where(mapped, _GL_S2, _GL_S)).ravel()
+        weights = (width * np.where(mapped, _GL_V2, _GL_V)).ravel()
+        nodes_seg = np.repeat(s, len(_GL_S))
+        values = np.multiply(f(theta, nodes_seg), dist.pdf(theta)) * weights
+        panel = values.reshape(rows, -1, len(_GL_S)).sum(axis=2)
+        for r in range(rows):
+            out[r] += np.bincount(s, weights=panel[r], minlength=len(a))
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"non-finite integrand on [{lo[i]}, {hi[i]}]")
+    return out
+
+
+def mass(dist: TypeDistribution, lo, hi):
+    """Probability mass of [lo, hi], in closed form; lo and hi may be
+    floats or arrays."""
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        return np.where(hi > lo, dist.mass(lo, hi), 0.0)
     if hi <= lo:
         return 0.0
     return dist.mass(lo, hi)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+import numpy as np
+
 from .errors import NumericalError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -59,6 +61,52 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
+def bisect_roots(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    xtol: float,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """`bisect_root` for many brackets [lo[i], hi[i]] at once.
+
+    f(x, idx) returns the values of the functions idx at x. Each
+    element takes the steps `bisect_root` takes on its bracket, so it
+    returns the same root; f is evaluated only on the brackets still
+    open.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    root = np.where(f_lo == 0.0, lo, hi)
+    open_ = (f_lo != 0.0) & (f_hi != 0.0)
+    if (open_ & ((f_lo > 0.0) == (f_hi > 0.0))).any():
+        i = int(np.argmax(open_ & ((f_lo > 0.0) == (f_hi > 0.0))))
+        raise NumericalError(
+            f"bisect_roots: no sign change on [{float(lo[i])!r}, "
+            f"{float(hi[i])!r}]: f(lo)={float(f_lo[i])!r}, f(hi)={float(f_hi[i])!r}"
+        )
+    lo_positive = f_lo > 0.0
+    idx = np.flatnonzero(open_)
+    if idx.size == 0:
+        return root
+    for _ in range(max_iter):
+        mid = 0.5 * (lo[idx] + hi[idx])
+        done = hi[idx] - lo[idx] <= xtol
+        root[idx[done]] = mid[done]
+        idx, mid = idx[~done], mid[~done]
+        if idx.size == 0:
+            return root
+        f_mid = f(mid, idx)
+        root[idx] = mid  # kept where f(mid) = 0; otherwise overwritten
+        same = (f_mid > 0.0) == lo_positive[idx]
+        lo[idx[same]] = mid[same]
+        hi[idx[~same]] = mid[~same]
+        idx = idx[f_mid != 0.0]
+    root[idx] = 0.5 * (lo[idx] + hi[idx])
+    return root
+
+
 def golden_max(
     f: Callable[[float], float],
     a: float,
@@ -68,8 +116,10 @@ def golden_max(
 ) -> tuple[float, float]:
     """Maximize f on [a, b] by golden-section search.
 
-    Returns (x_best, f(x_best)). `rel_tol` is relative to the scale of
-    the bracket endpoints (absolute floor of rel_tol itself near 0).
+    Returns (x_best, f(x_best)). The search stops when the bracket is
+    narrower than rel_tol * max(|a|, |b|, 1): relative to the endpoints
+    above 1, an absolute tolerance of rel_tol for brackets within
+    [-1, 1].
     """
     if b < a:
         a, b = b, a

@@ -61,17 +61,6 @@ class DiscretizedMarket:
                    n_omega=n_omega, n_p=n_p)
 
 
-def _u_vec(params: MarketParams, z: np.ndarray) -> np.ndarray:
-    u = params.utility
-    variant = u.variant
-    if variant == "logarithmic":
-        return np.log1p(z)
-    if variant == "alpha_fair":
-        a, mu = u.alpha, u.mu
-        return ((z + mu) ** (1.0 - a) - mu ** (1.0 - a)) / (1.0 - a)
-    return -np.expm1(-u.gamma * z)
-
-
 def _x_cap(params: MarketParams, theta: float, w: float) -> float:
     """Upper end of the x search grid: 4x the marginal-balance level."""
     if w <= 0.0 or theta <= 0.0:
@@ -109,7 +98,7 @@ def oracle_user_br(
         else:
             xs = x_grid
         payoff = (
-            theta * _u_vec(params, params.Q * r + w * xs)
+            theta * params.utility.u(params.Q * r + w * xs)
             - params.F * r
             - params.phi * xs
         )
@@ -258,7 +247,7 @@ def _br_grid(
             xs = np.array([0.0])
         else:
             xs = x_grid
-        base = _u_vec(params, params.Q * r + w * xs)  # (n_x,)
+        base = params.utility.u(params.Q * r + w * xs)  # (n_x,)
         with np.errstate(divide="ignore", invalid="ignore"):
             breaks = params.phi * np.diff(xs) / np.diff(base)
         guess = np.searchsorted(np.fmax.accumulate(breaks), thetas)

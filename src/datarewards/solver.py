@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,10 +26,12 @@ from .admarket import (
     WatchMoments,
     ad_side,
     ad_stats,
+    grid_stats,
+    pool_revenue,
     watch_moments,
 )
 from .errors import InternalConsistencyError, UnboundedSearchError
-from .model import CAPACITY_RTOL, MarketParams, mass
+from .model import CAPACITY_RTOL, MarketParams, integrate_segments, mass
 from .numerics import golden_max
 from .users import (
     SarCase,
@@ -39,9 +41,15 @@ from .users import (
     case_bound_b_sar,
     case_bound_b_sur,
     case_bound_d,
-    classify_sar,
-    classify_sur,
+    case_index,
+    solve_theta2,
+    solve_theta4,
+    theta0,
+    theta1,
+    theta3,
     thresholds,
+    x_watch_alone,
+    x_watch_subscriber,
 )
 
 
@@ -52,7 +60,9 @@ class SolverConfig:
 
     grid_points: int = 2000  # revenue grid per feasible interval
     scan_points: int = 600  # demand feasibility scan resolution
-    golden_tol: float = 1e-6  # relative reward tolerance of refinement
+    # refinement stops at a bracket narrower than golden_tol * max(|a|,
+    # |b|, 1): an absolute reward tolerance for rewards below 1
+    golden_tol: float = 1e-6
     max_doublings: int = 60
 
 
@@ -112,25 +122,17 @@ class FeasibleRegion:
 # ---------------------------------------------------------------------------
 
 
-def _subscriber_mass(
-    params: MarketParams, w: float, scheme: Scheme, thr: Thresholds | None
-) -> float:
-    """Type mass of the users who subscribe at reward w."""
-    theta_max = params.dist.theta_max
-    cutoff = params.F / params.utility.u(params.Q)
-    if w > 0.0:
-        if scheme is Scheme.SAR:
-            if classify_sar(params, w) is SarCase.C:
-                assert thr is not None and thr.theta2 is not None
-                cutoff = thr.theta2
-        else:
-            case = classify_sur(params, w)
-            if case is SurCase.D:
-                return 0.0
-            if case is SurCase.C:
-                assert thr is not None and thr.theta4 is not None
-                cutoff = thr.theta4
-    return mass(params.dist, cutoff, theta_max)
+def _subscriber_mass(params: MarketParams, thr: Thresholds) -> float:
+    """Type mass of the users who subscribe at the reward of thr."""
+    case = thr.case
+    if case is SurCase.D:
+        return 0.0
+    cutoff = thr.theta0
+    if case is SarCase.C:
+        cutoff = thr.theta2
+    elif case is SurCase.C:
+        cutoff = thr.theta4
+    return mass(params.dist, cutoff, params.dist.theta_max)
 
 
 def demand(
@@ -146,11 +148,11 @@ def demand(
     `thr` and `moments` (from `thresholds` and `watch_moments` at the
     same w) skip recomputing them.
     """
-    if w > 0.0 and thr is None:
+    if thr is None:
         thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
     if moments is None:
         moments = watch_moments(params, w, scheme, thr)
-    quota = params.N * params.Q * _subscriber_mass(params, w, scheme, thr)
+    quota = params.N * params.Q * _subscriber_mass(params, thr)
     return quota + params.N * w * sum(m.ex for m in moments)
 
 
@@ -161,9 +163,9 @@ def data_revenue(
     thr: Thresholds | None = None,
 ) -> float:
     """Subscription revenue at reward w: fee times subscriber mass."""
-    if w > 0.0 and thr is None:
+    if thr is None:
         thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    return params.N * params.F * _subscriber_mass(params, w, scheme, thr)
+    return params.N * params.F * _subscriber_mass(params, thr)
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,176 @@ class PointEval:
 
 
 def evaluate_point(params: MarketParams, w: float, scheme: Scheme) -> PointEval:
-    aware = scheme is Scheme.SAR
-    if aware:
-        label = classify_sar(params, w).value if w > 0 else SarCase.A.value
-    else:
-        label = classify_sur(params, w).value if w > 0 else SurCase.A.value
-    thr = thresholds(params, w, scheme_aware=aware) if w > 0 else None
+    thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
     moments = watch_moments(params, w, scheme, thr)
     d = demand(params, w, scheme, thr, moments)
     rd = data_revenue(params, w, scheme, thr)
     ad = ad_side(params, w, scheme, thr, moments)
-    return PointEval(w=w, case_label=label, demand=d, r_data=rd, ad=ad)
+    return PointEval(w=w, case_label=thr.case.value, demand=d, r_data=rd, ad=ad)
+
+
+@dataclass(frozen=True)
+class _UnawarePoint:
+    pe_sur: PointEval
+    ad_surd: AdSideOutcome
+    theta4: float | None
+
+    @property
+    def r_total_sur(self) -> float:
+        return self.pe_sur.r_total
+
+    @property
+    def r_total_surd(self) -> float:
+        return self.pe_sur.r_data + self.ad_surd.revenue
+
+
+def _eval_unaware(params: MarketParams, w: float) -> _UnawarePoint:
+    """One reward level evaluated for both unaware schemes at once."""
+    thr = thresholds(params, w, scheme_aware=False)
+    moments = watch_moments(params, w, Scheme.SUR, thr)
+    d = demand(params, w, Scheme.SUR, thr, moments)
+    rd = data_revenue(params, w, Scheme.SUR, thr)
+    ad_sur = ad_side(params, w, Scheme.SUR, thr, moments)
+    if thr.case is SurCase.C:
+        ad_surd = ad_side(params, w, Scheme.SURD, thr, moments)
+    else:
+        ad_surd = ad_sur
+    pe = PointEval(
+        w=w, case_label=thr.case.value, demand=d, r_data=rd, ad=ad_sur
+    )
+    return _UnawarePoint(pe_sur=pe, ad_surd=ad_surd, theta4=thr.theta4)
+
+
+# ---------------------------------------------------------------------------
+# Stage II on a reward grid
+# ---------------------------------------------------------------------------
+
+_SAR_LABELS = np.array([c.value for c in SarCase])
+_SUR_LABELS = np.array([c.value for c in SurCase])
+
+
+@dataclass(frozen=True)
+class GridEval:
+    """Stage II at every reward of a grid, from `evaluate_grid`.
+
+    Entry i holds what `evaluate_point` gives at w[i] for SAR or SUR;
+    for the unaware schemes also SURD's ad side, which prices the two
+    watcher classes apart in case C^ and is SUR's elsewhere. NaN marks
+    an absent value: theta4 outside case C^, a split price outside it.
+    """
+
+    w: np.ndarray
+    case: np.ndarray  # case labels
+    demand: np.ndarray
+    r_data: np.ndarray
+    theta4: np.ndarray
+    r_ad: np.ndarray
+    p_star: np.ndarray
+    r_ad_surd: np.ndarray | None = None
+    p_star_i: np.ndarray | None = None
+    p_star_ii: np.ndarray | None = None
+
+    @property
+    def r_total(self) -> np.ndarray:
+        return self.r_data + self.r_ad
+
+    @property
+    def r_total_surd(self) -> np.ndarray:
+        assert self.r_ad_surd is not None
+        return self.r_data + self.r_ad_surd
+
+    def point(self, i: int) -> PointEval:
+        """Entry i as `evaluate_point` returns it (SAR or SUR)."""
+        return PointEval(
+            w=float(self.w[i]), case_label=str(self.case[i]),
+            demand=float(self.demand[i]), r_data=float(self.r_data[i]),
+            ad=AdSideOutcome(float(self.r_ad[i]), float(self.p_star[i]), None, None),
+        )
+
+    def unaware_point(self, i: int) -> _UnawarePoint:
+        """Entry i as `_eval_unaware` returns it."""
+        assert self.r_ad_surd is not None
+        assert self.p_star_i is not None and self.p_star_ii is not None
+        pe = self.point(i)
+        ad_surd = pe.ad
+        if pe.case_label == SurCase.C.value:
+            ad_surd = AdSideOutcome(
+                float(self.r_ad_surd[i]), None,
+                float(self.p_star_i[i]), float(self.p_star_ii[i]),
+            )
+        t4 = float(self.theta4[i])
+        return _UnawarePoint(pe, ad_surd, None if math.isnan(t4) else t4)
+
+
+def _moments(params: MarketParams, w: np.ndarray, lo, hi, xfun):
+    """Mass, int x g and int x^2 g of one watch segment [lo, hi] per
+    reward, with x = xfun; zero where the segment holds no mass."""
+    seg_mass = mass(params.dist, lo, hi)
+    hi = np.where(seg_mass > 0.0, hi, lo)
+
+    def x_and_x2(theta, seg):
+        x = xfun(params, theta, w[seg])
+        return np.array((x, x * x))
+
+    ex, ex2 = integrate_segments(params.dist, x_and_x2, lo, hi, 2)
+    return seg_mass, ex, ex2
+
+
+def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> GridEval:
+    """`evaluate_point` at every reward of the array ws in one array
+    pass; under SUR or SURD, `_eval_unaware`, both unaware schemes.
+
+    The rewards are classified at once, the case-C thresholds found by
+    array bisection, the watch segments' moments taken from one batched
+    node pass per kind of watcher (`integrate_segments`), and the ad
+    side priced elementwise. One reward is cheaper on the scalar path.
+    """
+    w = np.asarray(ws, dtype=float)
+    aware = scheme is Scheme.SAR
+    # indices in SarCase and SurCase alike: A 0, B 1, C 2, D 3
+    case = case_index(params, w, aware)
+    in_c, in_d = case == 2, case == 3
+    theta_max = params.dist.theta_max
+    top = np.full(len(w), theta_max)
+    t1, t3 = theta1(params, w), theta3(params, w)
+    cutoff = np.full(len(w), theta0(params))  # subscribers: [cutoff, top]
+    sub_lo = np.where((case == 1) | in_c, t1, top)  # they watch on [sub_lo, top]
+    theta4 = np.full(len(w), math.nan)
+    if in_c.any():
+        if aware:
+            sub_lo[in_c] = cutoff[in_c] = solve_theta2(params, w[in_c])
+        else:
+            theta4[in_c] = cutoff[in_c] = solve_theta4(params, w[in_c])
+    cutoff[in_d] = theta_max  # case D^: nobody subscribes
+    # non-subscribers watch on [theta3, min(theta4, theta_max)] in case
+    # C^ and on [theta3, theta_max] in case D^
+    alone = np.zeros(len(w), dtype=bool) if aware else in_c | in_d
+    alone_lo = np.where(alone, t3, 0.0)
+    alone_hi = np.where(alone, np.fmin(theta4, theta_max), 0.0)
+    sub_mass = mass(params.dist, cutoff, top)
+    m_sub, ex_sub, ex2_sub = _moments(params, w, sub_lo, top, x_watch_subscriber)
+    m_alone, ex_alone, ex2_alone = _moments(params, w, alone_lo, alone_hi, x_watch_alone)
+
+    ex = ex_alone + ex_sub
+    r_ad, p_star = pool_revenue(
+        grid_stats(params, m_alone + m_sub, ex, ex2_alone + ex2_sub), params
+    )
+    out = GridEval(
+        w=w, case=(_SAR_LABELS if aware else _SUR_LABELS)[case],
+        demand=params.N * params.Q * sub_mass + params.N * w * ex,
+        r_data=params.N * params.F * sub_mass,
+        theta4=theta4, r_ad=r_ad, p_star=p_star,
+    )
+    if aware:
+        return out
+    rev_i, p_i = pool_revenue(grid_stats(params, m_sub, ex_sub, ex2_sub), params)
+    rev_ii, p_ii = pool_revenue(grid_stats(params, m_alone, ex_alone, ex2_alone), params)
+    return replace(
+        out,
+        r_ad_surd=np.where(in_c, rev_i + rev_ii, r_ad),
+        p_star_i=np.where(in_c, p_i, math.nan),
+        p_star_ii=np.where(in_c, p_ii, math.nan),
+    )
 
 
 def _outcome(
@@ -282,12 +443,12 @@ def solve_sar(
     w_hi = demand_inverse(params, config=config)
     breaks = [case_bound_a(params), case_bound_b_sar(params)]
     grid = _grid_with_breakpoints(0.0, w_hi, config.grid_points, breaks)
-    evals = [evaluate_point(params, float(w), Scheme.SAR) for w in grid]
-    best_i = max(range(len(evals)), key=lambda i: evals[i].r_total)
+    evals = evaluate_grid(params, grid, Scheme.SAR)
+    best_i = int(np.argmax(evals.r_total))
 
     lo = float(grid[max(best_i - 1, 0)])
     hi = float(grid[min(best_i + 1, len(grid) - 1)])
-    best = evals[best_i]
+    best = evals.point(best_i)
     if hi > lo:
         w_ref, _ = golden_max(
             lambda w: evaluate_point(params, w, Scheme.SAR).r_total,
@@ -327,7 +488,7 @@ def feasible_region(
     cap = _omega_cap(params, config)
     breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
     grid = _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
-    demands = np.array([demand(params, w, Scheme.SUR) for w in grid])
+    demands = evaluate_grid(params, grid, Scheme.SUR).demand
     # the zero reward is feasible within the tolerance MarketParams
     # grants the capacity below D(0)
     if demands[0] * (1.0 - CAPACITY_RTOL) > params.C:
@@ -370,50 +531,18 @@ def feasible_region(
     return FeasibleRegion(intervals=tuple(intervals))
 
 
-def _check_band_monotone(evals: list[tuple[float, float]]) -> None:
-    """The non-subscriber band's upper edge must grow with the reward."""
-    for (w_a, t4_a), (w_b, t4_b) in zip(evals, evals[1:]):
-        if w_b > w_a and t4_b < t4_a * (1.0 - 1e-9):
-            raise InternalConsistencyError(
-                f"subscription cutoff decreased from {t4_a:.8g} (w={w_a:.8g}) "
-                f"to {t4_b:.8g} (w={w_b:.8g})"
-            )
-
-
-@dataclass(frozen=True)
-class _UnawarePoint:
-    pe_sur: PointEval
-    ad_surd: AdSideOutcome
-    theta4: float | None
-
-    @property
-    def r_total_sur(self) -> float:
-        return self.pe_sur.r_total
-
-    @property
-    def r_total_surd(self) -> float:
-        return self.pe_sur.r_data + self.ad_surd.revenue
-
-
-def _eval_unaware(params: MarketParams, w: float) -> _UnawarePoint:
-    """One reward level evaluated for both unaware schemes at once."""
-    thr = thresholds(params, w, scheme_aware=False) if w > 0 else None
-    case = classify_sur(params, w)
-    moments = watch_moments(params, w, Scheme.SUR, thr)
-    d = demand(params, w, Scheme.SUR, thr, moments)
-    rd = data_revenue(params, w, Scheme.SUR, thr)
-    ad_sur = ad_side(params, w, Scheme.SUR, thr, moments)
-    if case is SurCase.C:
-        ad_surd = ad_side(params, w, Scheme.SURD, thr, moments)
-    else:
-        ad_surd = ad_sur
-    pe = PointEval(
-        w=w, case_label=case.value, demand=d, r_data=rd, ad=ad_sur
-    )
-    return _UnawarePoint(
-        pe_sur=pe, ad_surd=ad_surd,
-        theta4=thr.theta4 if thr is not None else None,
-    )
+def _check_band_monotone(w: np.ndarray, theta4: np.ndarray) -> None:
+    """The non-subscriber band's upper edge must grow with the reward;
+    theta4 is NaN at the rewards without a band."""
+    band = ~np.isnan(theta4)
+    w, t4 = w[band], theta4[band]
+    bad = (w[1:] > w[:-1]) & (t4[1:] < t4[:-1] * (1.0 - 1e-9))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"subscription cutoff decreased from {t4[i]:.8g} (w={w[i]:.8g}) "
+            f"to {t4[i + 1]:.8g} (w={w[i + 1]:.8g})"
+        )
 
 
 def _split_at_discontinuity(
@@ -462,40 +591,43 @@ def _solve_unaware_pair(
         if best_surd is None or pt.r_total_surd > best_surd.r_total_surd:
             best_surd = pt
 
-    for a, b in pieces:
-        if b < a:
-            continue
-        n = config.grid_points if b > a else 1
-        grid = _grid_with_breakpoints(a, b, max(n, 2), breaks) if b > a else np.array([a])
-        evals = [_eval_unaware(params, float(w)) for w in grid]
-        band = [
-            (e.pe_sur.w, e.theta4)
-            for e in evals
-            if e.theta4 is not None
-        ]
-        _check_band_monotone([(w, t4) for w, t4 in band])
+    evaluated: dict[float, _UnawarePoint] = {}
 
-        for scheme_key in ("sur", "surd"):
-            objective = (
-                (lambda e: e.r_total_sur)
-                if scheme_key == "sur"
-                else (lambda e: e.r_total_surd)
-            )
-            best_i = max(range(len(evals)), key=lambda i: objective(evals[i]))
-            consider(evals[best_i])
+    def at(w: float) -> _UnawarePoint:
+        # the SUR and SURD refinements of one cell share most rewards
+        if w not in evaluated:
+            evaluated[w] = _eval_unaware(params, w)
+        return evaluated[w]
+
+    grids = [
+        _grid_with_breakpoints(a, b, max(config.grid_points, 2), breaks)
+        if b > a else np.array([a])
+        for a, b in pieces if b >= a
+    ]
+    evals = evaluate_grid(params, np.concatenate(grids), Scheme.SUR)
+    start = 0
+    for grid in grids:
+        piece = slice(start, start + len(grid))
+        _check_band_monotone(grid, evals.theta4[piece])
+        for objective, values in (
+            (lambda e: e.r_total_sur, evals.r_total[piece]),
+            (lambda e: e.r_total_surd, evals.r_total_surd[piece]),
+        ):
+            best_i = int(np.argmax(values))
+            consider(evals.unaware_point(start + best_i))
             lo = float(grid[max(best_i - 1, 0)])
             hi = float(grid[min(best_i + 1, len(grid) - 1)])
             if hi > lo:
                 w_ref, _ = golden_max(
-                    lambda w: objective(_eval_unaware(params, w)),
-                    lo, hi, rel_tol=config.golden_tol,
+                    lambda w: objective(at(w)), lo, hi, rel_tol=config.golden_tol,
                 )
-                consider(_eval_unaware(params, w_ref))
+                consider(at(w_ref))
+        start += len(grid)
 
     assert best_sur is not None and best_surd is not None
     # The differentiated optimum must also dominate at the pooled
     # scheme's refined argmax; evaluate there explicitly.
-    consider(_eval_unaware(params, best_sur.pe_sur.w))
+    consider(at(best_sur.pe_sur.w))
 
     sur_outcome = _outcome(params, Scheme.SUR, best_sur.pe_sur)
     surd_pe = PointEval(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .model import MarketParams
-from .numerics import bisect_root
+from .numerics import bisect_root, bisect_roots
 
 
 class SarCase(Enum):
@@ -46,6 +46,9 @@ class SurCase(Enum):
 
 @dataclass(frozen=True)
 class Thresholds:
+    """The thresholds at one reward, and the case they were solved for."""
+
+    case: SarCase | SurCase
     theta0: float
     theta1: float
     theta3: float
@@ -63,19 +66,28 @@ def theta0(params: MarketParams) -> float:
     return params.F / params.utility.u(params.Q)
 
 
-def theta1(params: MarketParams, w: float) -> float:
+def _ratio_over(params: MarketParams, w, marginal: float):
+    """phi / (w u'), +inf at w <= 0; w may be a float or an array."""
+    if isinstance(w, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.where(w > 0.0, params.phi / (w * marginal), math.inf)
     if w <= 0.0:
         return math.inf
-    return params.phi / (w * params.utility.u_prime(params.Q))
+    return params.phi / (w * marginal)
 
 
-def theta3(params: MarketParams, w: float) -> float:
+def theta1(params: MarketParams, w):
+    """phi / (w u'(Q)); w may be a float or an array."""
+    return _ratio_over(params, w, params.utility.u_prime(params.Q))
+
+
+def theta3(params: MarketParams, w):
+    """phi / (w u'(0)), 0 when u'(0) is infinite; w may be a float or
+    an array."""
     up0 = params.utility.u_prime_zero
     if math.isinf(up0):
-        return 0.0
-    if w <= 0.0:
-        return math.inf
-    return params.phi / (w * up0)
+        return np.zeros_like(w) if isinstance(w, np.ndarray) else 0.0
+    return _ratio_over(params, w, up0)
 
 
 def case_bound_a(params: MarketParams) -> float:
@@ -127,6 +139,19 @@ def classify_sur(params: MarketParams, w: float) -> SurCase:
     return SurCase.D
 
 
+def case_index(params: MarketParams, w: np.ndarray, scheme_aware: bool) -> np.ndarray:
+    """The case of every reward in the array w, classified as
+    `classify_sar` / `classify_sur` do, as indices into list(SarCase)
+    or list(SurCase)."""
+    a = case_bound_a(params)
+    if scheme_aware:
+        return np.select([w <= a, w <= case_bound_b_sar(params)], [0, 1], 2)
+    d = case_bound_d(params)
+    if math.isinf(params.utility.u_prime_zero):
+        return np.select([w <= 0.0, w < d], [0, 2], 3)
+    return np.select([w <= a, w <= case_bound_b_sur(params), w < d], [0, 1, 2], 3)
+
+
 def _x_level(params: MarketParams, theta, w: float):
     """Utility level (u')^{-1}(phi / (w theta)) the watcher tops up to.
 
@@ -143,91 +168,154 @@ def _x_level(params: MarketParams, theta, w: float):
     return max(params.utility.inverse_marginal(params.phi / (w * theta)), 0.0)
 
 
-def solve_theta2(params: MarketParams, w: float) -> float:
+def _h(params: MarketParams, w):
+    """h(theta) = theta u(level) - F - (phi/w)(level - Q) at reward w:
+    the net payoff of "subscribe and watch" at the watcher's interior
+    optimum. w may be a float, or an array of rewards for an array of
+    positive types theta."""
+    u, ratio = params.utility.u, params.phi / w
+
+    def h(theta):
+        level = _x_level(params, theta, w)
+        return theta * u(level) - params.F - ratio * (level - params.Q)
+
+    return h
+
+
+def _v(params: MarketParams, w):
+    """v(theta) = theta u(level) - (phi/w) level - theta u(Q) + F at
+    reward w: the gain of watching without subscribing over
+    subscribing, at the watcher's optimum. w may be a float, or an
+    array of rewards for an array of positive types theta."""
+    u, ratio, u_q = params.utility.u, params.phi / w, params.utility.u(params.Q)
+
+    def v(theta):
+        level = _x_level(params, theta, w)
+        return theta * u(level) - ratio * level - theta * u_q + params.F
+
+    return v
+
+
+def _any(flags) -> bool:
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+
+
+def _first(bad, *values) -> list[float]:
+    """The values at the first True entry of the array bad, or the
+    scalar values themselves."""
+    if isinstance(bad, np.ndarray):
+        i = int(np.argmax(bad))
+        return [float(v[i]) for v in values]
+    return list(values)
+
+
+def _bracketed_root(params: MarketParams, f, lo, hi, f_lo, f_hi, w, at_lo, at_hi):
+    """Root of f(params, w)(theta) on [lo, hi]: lo where at_lo, else hi
+    where at_hi (a root degenerated to an endpoint exactly at a case
+    boundary), else found by bisection to 1e-10 theta_max. Elementwise,
+    by array bisection, when w is an array."""
+    xtol = 1e-10 * params.dist.theta_max
+    if isinstance(w, np.ndarray):
+        root = np.where(at_lo, lo, hi)
+        inner = ~at_lo & ~at_hi
+        if inner.any():
+            w_in = w[inner]
+            root[inner] = bisect_roots(
+                lambda t, i: f(params, w_in[i])(t), lo[inner], hi[inner], xtol,
+                f_lo=f_lo[inner], f_hi=f_hi[inner],
+            )
+        return root
+    if at_lo:
+        return lo
+    if at_hi:
+        return hi
+    return bisect_root(f(params, w), lo, hi, xtol, f_lo=f_lo, f_hi=f_hi)
+
+
+def solve_theta2(params: MarketParams, w):
     """Subscribe-iff-watching cutoff for the aware scheme, high reward.
 
     Root of h(theta) = theta u(level) - F - (phi/w)(level - Q) on
     (theta1, theta0), where level = (u')^{-1}(phi/(w theta)). h is the
     net payoff of "subscribe and watch" at the watcher's interior
     optimum; it is strictly increasing between the brackets.
+
+    w may be one reward or an array of case-C rewards, whose roots are
+    then found together by array bisection.
     """
-    u = params.utility
     t0, t1 = theta0(params), theta1(params, w)
-
-    def h(theta: float) -> float:
-        level = _x_level(params, theta, w)
-        return (theta * u.u(level) - params.F
-                - (params.phi / w) * (level - params.Q))
-
+    if isinstance(w, np.ndarray):
+        t0 = np.full(len(w), t0)
+    h = _h(params, w)
     h1, h0 = h(t1), h(t0)
     tol = 1e-9 * params.F
-    if h1 >= tol or h0 <= -tol:
+    bad = (h1 >= tol) | (h0 <= -tol)
+    if _any(bad):
+        t1_, h1_, t0_, h0_, w_ = _first(bad, t1, h1, t0, h0, w)
         raise InternalConsistencyError(
             "subscribe-iff-watching root bracket failed: expected "
-            f"h(theta1) < 0 < h(theta0) but h({t1:.6g})={h1:.6g}, "
-            f"h({t0:.6g})={h0:.6g} at w={w:.6g}"
+            f"h(theta1) < 0 < h(theta0) but h({t1_:.6g})={h1_:.6g}, "
+            f"h({t0_:.6g})={h0_:.6g} at w={w_:.6g}"
         )
-    # Exactly at a case boundary the root degenerates to an endpoint.
-    if h1 >= 0.0:
-        return t1
-    if h0 <= 0.0:
-        return t0
-    return bisect_root(h, t1, t0, xtol=1e-10 * params.dist.theta_max,
-                       f_lo=h1, f_hi=h0)
+    return _bracketed_root(params, _h, t1, t0, h1, h0, w, h1 >= 0.0, h0 <= 0.0)
 
 
-def solve_theta4(params: MarketParams, w: float) -> float:
+def solve_theta4(params: MarketParams, w):
     """Subscription cutoff for the unaware scheme, mid-range reward.
 
     Root of v(theta) = theta u(level) - (phi/w) level - theta u(Q) + F
     on (theta3, theta1): below it users watch ads without subscribing,
     above it they subscribe. The returned root always exceeds theta0.
+
+    w may be one reward or an array of case-C^ rewards, whose roots are
+    then found together by array bisection.
     """
-    u = params.utility
     t1, t3 = theta1(params, w), theta3(params, w)
-
-    def v(theta: float) -> float:
-        if theta <= 0.0:
-            return params.F
-        level = _x_level(params, theta, w)
-        return (theta * u.u(level) - (params.phi / w) * level
-                - theta * u.u(params.Q) + params.F)
-
-    v3, v1 = v(t3), v(t1)
+    # v = F at theta = 0, where nobody gains from watching (u'(0) = inf)
+    v = _v(params, w)
+    if isinstance(w, np.ndarray):
+        v3 = np.full(len(w), params.F)
+        pos = t3 > 0.0
+        v3[pos] = _v(params, w[pos])(t3[pos])
+    else:
+        v3 = v(t3) if t3 > 0.0 else params.F
+    v1 = v(t1)
     tol = 1e-9 * params.F
-    if v3 <= -tol or v1 >= tol:
+    bad = (v3 <= -tol) | (v1 >= tol)
+    if _any(bad):
+        t3_, v3_, t1_, v1_, w_ = _first(bad, t3, v3, t1, v1, w)
         raise InternalConsistencyError(
             "non-subscriber band root bracket failed: expected "
-            f"v(theta3) > 0 > v(theta1) but v({t3:.6g})={v3:.6g}, "
-            f"v({t1:.6g})={v1:.6g} at w={w:.6g}"
+            f"v(theta3) > 0 > v(theta1) but v({t3_:.6g})={v3_:.6g}, "
+            f"v({t1_:.6g})={v1_:.6g} at w={w_:.6g}"
         )
-    if v3 <= 0.0:
-        root = t3
-    elif v1 >= 0.0:
-        root = t1
-    else:
-        root = bisect_root(v, t3, t1, xtol=1e-10 * params.dist.theta_max,
-                           f_lo=v3, f_hi=v1)
+    root = _bracketed_root(params, _v, t3, t1, v3, v1, w, v3 <= 0.0, v1 >= 0.0)
     t0 = theta0(params)
-    if root <= t0 * (1.0 - 1e-9):
+    low = root <= t0 * (1.0 - 1e-9)
+    if _any(low):
+        root_, w_ = _first(low, root, w)
         raise InternalConsistencyError(
-            f"subscription cutoff {root:.6g} fell below the zero-reward "
-            f"cutoff {t0:.6g} at w={w:.6g}"
+            f"subscription cutoff {root_:.6g} fell below the zero-reward "
+            f"cutoff {t0:.6g} at w={w_:.6g}"
         )
     return root
 
 
 def thresholds(params: MarketParams, w: float, scheme_aware: bool) -> Thresholds:
-    """All thresholds relevant at reward w (aware or unaware scheme)."""
+    """All thresholds relevant at reward w (aware or unaware scheme),
+    with the case of w: the one classification every stage-II quantity
+    at w reads."""
     t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
     t2 = t4 = None
     if scheme_aware:
-        if classify_sar(params, w) is SarCase.C:
+        case = classify_sar(params, w)
+        if case is SarCase.C:
             t2 = solve_theta2(params, w)
     else:
-        if classify_sur(params, w) is SurCase.C:
+        case = classify_sur(params, w)
+        if case is SurCase.C:
             t4 = solve_theta4(params, w)
-    return Thresholds(theta0=t0, theta1=t1, theta3=t3, theta2=t2, theta4=t4)
+    return Thresholds(case=case, theta0=t0, theta1=t1, theta3=t3, theta2=t2, theta4=t4)
 
 
 def x_watch_subscriber(params: MarketParams, theta, w: float):

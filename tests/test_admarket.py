@@ -9,11 +9,9 @@ from datarewards import (
     Scheme,
     UniformTypes,
     UserClass,
-    ad_revenue,
     ad_side,
     ad_stats,
     advertiser_best_response,
-    cpm_revenue,
     optimal_price,
     solve_theta2,
 )
@@ -204,8 +202,8 @@ def test_differentiated_prices_only_with_two_classes():
 def test_differentiation_never_loses_revenue():
     p = _log_uniform()
     for w in np.linspace(1e-4, 1.5 * case_bound_d(p), 25):
-        rev_pool = ad_revenue(p, float(w), Scheme.SUR)
-        rev_diff = ad_revenue(p, float(w), Scheme.SURD)
+        rev_pool = ad_side(p, float(w), Scheme.SUR).revenue
+        rev_diff = ad_side(p, float(w), Scheme.SURD).revenue
         assert rev_diff >= rev_pool * (1.0 - 1e-9)
 
 
@@ -224,12 +222,7 @@ def test_zero_reward_has_no_watchers():
     p = _log_uniform()
     for scheme in (Scheme.SAR, Scheme.SUR, Scheme.SURD):
         assert watch_segments(p, 0.0, scheme) == []
-        assert ad_revenue(p, 0.0, scheme) == 0.0
-
-
-def test_cpm_revenue():
-    assert cpm_revenue(1200.0, 8.2) == pytest.approx(9.84)
-    assert cpm_revenue(0.0, 8.2) == 0.0
+        assert ad_side(p, 0.0, scheme).revenue == 0.0
 
 
 def test_ad_revenue_equals_price_times_slots():

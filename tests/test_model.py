@@ -19,17 +19,14 @@ from datarewards import (
     Scheme,
     TruncatedNormalTypes,
     UniformTypes,
-    eval_u,
-    eval_u_prime,
     integrate,
-    inverse_marginal,
     load_scenario,
     params_from_dict,
     params_to_dict,
     save_scenario,
 )
 from datarewards.admarket import watch_segments
-from datarewards.model import mass
+from datarewards.model import integrate_segments, mass
 from datarewards.users import case_bound_d, x_watch_alone, x_watch_subscriber
 
 ALL_UTILITIES = [
@@ -47,57 +44,58 @@ ALL_UTILITIES = [
 
 @pytest.mark.parametrize("u", ALL_UTILITIES)
 def test_u_zero_is_zero(u):
-    assert eval_u(u, 0.0) == 0.0
+    assert u.u(0.0) == 0.0
 
 
 def test_exponential_point_value():
     u = ExpUtility(gamma=0.7)
-    assert eval_u(u, 2.0) == pytest.approx(1.0 - math.exp(-1.4), rel=1e-12)
+    assert u.u(2.0) == pytest.approx(1.0 - math.exp(-1.4), rel=1e-12)
 
 
 def test_alpha_fair_point_value():
     u = AlphaFairUtility(alpha=0.8, mu=0.8)
     expected = (1.6**0.2 - 0.8**0.2) / 0.2
-    assert eval_u(u, 0.8) == pytest.approx(expected, rel=1e-12)
+    assert u.u(0.8) == pytest.approx(expected, rel=1e-12)
 
 
 def test_inverse_marginal_points():
     log = LogUtility()
-    assert inverse_marginal(log, 1.0) == 0.0
-    assert inverse_marginal(log, 0.5) == pytest.approx(1.0)
-    assert inverse_marginal(ExpUtility(gamma=0.7), 0.7) == pytest.approx(0.0)
+    assert log.inverse_marginal(1.0) == 0.0
+    assert log.inverse_marginal(0.5) == pytest.approx(1.0)
+    assert ExpUtility(gamma=0.7).inverse_marginal(0.7) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("u", ALL_UTILITIES)
 def test_negative_argument_rejected(u):
-    with pytest.raises(DomainError):
-        eval_u(u, -0.1)
-    with pytest.raises(DomainError):
-        eval_u_prime(u, -0.1)
+    for z in (-0.1, np.array([0.5, -0.1, 0.3])):
+        with pytest.raises(DomainError, match="-0.1"):
+            u.u(z)
+        with pytest.raises(DomainError, match="-0.1"):
+            u.u_prime(z)
 
 
 def test_inverse_marginal_domain_errors_distinguish_sides():
     u = ExpUtility(gamma=0.7)
     with pytest.raises(DomainError, match="> 0"):
-        inverse_marginal(u, 0.0)
+        u.inverse_marginal(0.0)
     with pytest.raises(DomainError, match="exceeds"):
-        inverse_marginal(u, 0.8)
+        u.inverse_marginal(0.8)
     af = AlphaFairUtility(alpha=0.8, mu=0.8)
     with pytest.raises(DomainError, match="exceeds"):
-        inverse_marginal(af, af.u_prime_zero * 2.0)
+        af.inverse_marginal(af.u_prime_zero * 2.0)
 
 
 def test_marginal_utility_vanishes_at_large_z():
     for u in ALL_UTILITIES:
-        assert eval_u_prime(u, 1e6) <= 1e-3 * eval_u_prime(u, 1.0)
+        assert u.u_prime(1e6) <= 1e-3 * u.u_prime(1.0)
 
 
 @pytest.mark.parametrize("u", ALL_UTILITIES)
 def test_finite_difference_derivative(u):
     h = 1e-5
     for z in [1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]:
-        fd = (eval_u(u, z + h) - eval_u(u, z - h)) / (2 * h)
-        exact = eval_u_prime(u, z)
+        fd = (u.u(z + h) - u.u(z - h)) / (2 * h)
+        exact = u.u_prime(z)
         assert abs(exact - fd) <= 1e-5 * (1.0 + abs(exact))
 
 
@@ -105,8 +103,8 @@ def test_finite_difference_derivative(u):
 @given(z=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=60, deadline=None)
 def test_inverse_marginal_round_trip(u, z):
-    s = eval_u_prime(u, z)
-    assert inverse_marginal(u, s) == pytest.approx(z, rel=1e-10)
+    s = u.u_prime(z)
+    assert u.inverse_marginal(s) == pytest.approx(z, rel=1e-10)
 
 
 @pytest.mark.parametrize("u", ALL_UTILITIES)
@@ -116,8 +114,8 @@ def test_inverse_marginal_round_trip(u, z):
 )
 @settings(max_examples=60, deadline=None)
 def test_concavity_midpoint(u, a, b):
-    mid = eval_u(u, (a + b) / 2.0)
-    assert mid >= (eval_u(u, a) + eval_u(u, b)) / 2.0 - 1e-12
+    mid = u.u((a + b) / 2.0)
+    assert mid >= (u.u(a) + u.u(b)) / 2.0 - 1e-12
 
 
 def test_utility_parameter_validation():
@@ -198,6 +196,24 @@ def test_pdf_array_matches_scalar(dist):
     got = dist.pdf(theta)
     want = np.array([dist.pdf(float(t)) for t in theta])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("u", ALL_UTILITIES)
+def test_utility_array_matches_scalar(u):
+    z = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
+    for fn in (u.u, u.u_prime):
+        got = fn(z)
+        want = np.array([fn(float(v)) for v in z])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("dist", DISTS)
+def test_mass_array_matches_scalar(dist):
+    edges = np.linspace(-10.0, dist.theta_max + 10.0, 23)
+    lo, hi = np.meshgrid(edges, edges)
+    got = mass(dist, lo.ravel(), hi.ravel())
+    want = [mass(dist, float(a), float(b)) for a, b in zip(lo.ravel(), hi.ravel())]
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("u", ALL_UTILITIES)
@@ -324,6 +340,58 @@ def test_panel_count_bounded_however_narrow_the_density():
     # 64 panels cover [mean - 40 sd, mean + 40 sd]; one more from rounding
     assert len(dist.panel_edges(0.0, 150.0)) <= 66
     assert len(UniformTypes(155.0).panel_edges(0.0, 155.0)) == 2
+
+
+_LAYOUT_DISTS = [
+    UniformTypes(155.0),
+    TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+    TruncatedNormalTypes(mean=125.0, sd=30.0, lo=20.0, hi=250.0),
+    TruncatedNormalTypes(mean=61.0, sd=0.75, lo=0.0, hi=150.0),
+    TruncatedNormalTypes(mean=61.0, sd=1e-9, lo=0.0, hi=150.0),
+]
+
+
+def _random_segments(dist, n: int = 300):
+    """Segments anywhere in and around the support, from 0 and from
+    1e-12 to 1e-1 of theta_max, and empty ones."""
+    rng = np.random.default_rng(11)
+    tm = dist.theta_max
+    a, b = rng.uniform(-5.0, tm + 5.0, (2, n))
+    lo, hi = np.minimum(a, b).clip(0.0, tm), np.maximum(a, b).clip(0.0, tm)
+    near_zero = tm * 10.0 ** rng.uniform(-12.0, -1.0, 40)
+    lo = np.concatenate([lo, [0.0, 0.0, 7.0], near_zero])
+    hi = np.concatenate([hi, [tm, 0.0, 3.0], np.full(40, tm)])
+    return lo, hi
+
+
+@pytest.mark.parametrize("dist", _LAYOUT_DISTS)
+def test_panel_layout_matches_panel_edges(dist):
+    lo, hi = _random_segments(dist)
+    a, b, n = dist.panel_layout(lo, hi)
+    for i in range(len(lo)):
+        edges = dist.panel_edges(float(lo[i]), float(hi[i]))
+        assert n[i] == max(len(edges) - 1, 0)
+        if edges:
+            assert (edges[0], edges[-1]) == (a[i], b[i])
+
+
+@pytest.mark.parametrize("dist", _LAYOUT_DISTS)
+def test_integrate_segments_matches_integrate(dist):
+    lo, hi = _random_segments(dist)
+    shift = np.linspace(0.0, 1.0, len(lo))
+
+    def f(theta, seg):
+        return np.array((np.sqrt(theta) + shift[seg], np.log1p(theta)))
+
+    got = integrate_segments(dist, f, lo, hi, 2)
+    for i in range(len(lo)):
+        if hi[i] <= lo[i]:
+            assert (got[:, i] == 0.0).all()
+            continue
+        want = integrate(
+            dist, lambda t: np.array((np.sqrt(t) + shift[i], np.log1p(t))), lo[i], hi[i]
+        )
+        np.testing.assert_allclose(got[:, i], want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("sd", [1e-3, 0.5, 3.0, 30.0])

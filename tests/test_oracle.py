@@ -21,7 +21,6 @@ from datarewards import (
 from datarewards.oracle import (
     DiscretizedMarket,
     _br_grid,
-    _u_vec,
     _windowed_argmax,
     _x_cap,
     oracle_adv_br,
@@ -144,7 +143,7 @@ def _br_grid_dense(params, market, w, scheme):
             xs = np.array([0.0])
         else:
             xs = x_grid
-        base = _u_vec(params, params.Q * r + w * xs)
+        base = params.utility.u(params.Q * r + w * xs)
         payoff = thetas[:, None] * base[None, :] - params.F * r - params.phi * xs[None, :]
         idx = np.argmax(payoff, axis=1)
         val = payoff[np.arange(m), idx]

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datarewards.admarket as admarket_mod
 import datarewards.users as users_mod
@@ -29,7 +32,13 @@ from datarewards import (
 )
 from datarewards.admarket import watch_segments
 from datarewards.model import mass
-from datarewards.solver import FeasibleRegion, _eval_unaware, evaluate_point
+from datarewards.solver import (
+    FeasibleRegion,
+    _check_band_monotone,
+    _eval_unaware,
+    evaluate_grid,
+    evaluate_point,
+)
 from datarewards.users import (
     case_bound_a,
     case_bound_b_sar,
@@ -148,15 +157,17 @@ def test_point_needs_one_root_solve_and_one_pass_per_segment(
         w, root = 0.5 * (case_bound_b_sur(p) + case_bound_d(p)), "solve_theta4"
     n_segments = len(watch_segments(p, w, scheme))
     assert n_segments >= 1
+    classify = "classify_sar" if scheme is Scheme.SAR else "classify_sur"
     calls: dict[str, int] = {}
     _count_calls(monkeypatch, users_mod, root, calls)
+    _count_calls(monkeypatch, users_mod, classify, calls)
     _count_calls(monkeypatch, admarket_mod, "integrate", calls)
     evaluate_point(p, w, scheme)
-    assert calls == {root: 1, "integrate": n_segments}
+    assert calls == {root: 1, classify: 1, "integrate": n_segments}
     if scheme is not Scheme.SAR:
         calls.clear()
         _eval_unaware(p, w)  # SUR and SURD together
-        assert calls == {root: 1, "integrate": n_segments}
+        assert calls == {root: 1, classify: 1, "integrate": n_segments}
 
 
 @pytest.mark.parametrize(
@@ -182,6 +193,148 @@ def test_mu0_small_reward_has_watching_non_subscribers(F, theta_max, C, w_of):
         assert pe.demand == pytest.approx(
             _demand_by_segments(p, w, Scheme.SUR), rel=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# stage II on a reward grid
+# ---------------------------------------------------------------------------
+
+_GRID_UTILITIES = [
+    LogUtility(),
+    AlphaFairUtility(alpha=0.8, mu=0.8),
+    AlphaFairUtility(alpha=0.5, mu=0.0),
+    AlphaFairUtility(alpha=0.9, mu=0.0),
+    AlphaFairUtility(alpha=0.9, mu=1e-8),
+    AlphaFairUtility(alpha=0.3, mu=1e-3),
+    ExpUtility(gamma=0.7),
+    ExpUtility(gamma=0.05),
+]
+_GRID_DISTS = [
+    UniformTypes(155.0),
+    TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+    TruncatedNormalTypes(mean=125.0, sd=30.0, lo=20.0, hi=250.0),
+]
+
+
+@st.composite
+def _narrow_normals(draw) -> TruncatedNormalTypes:
+    """Truncated normals on [lo, 150] with sd from 1/200 to 1/10 of the
+    support's width and the mean within 5 sd of the support."""
+    lo = draw(st.sampled_from([0.0, 20.0]))
+    width = 150.0 - lo
+    sd = width * 10.0 ** draw(st.floats(min_value=-2.3, max_value=-1.0))
+    shift = draw(st.floats(min_value=0.0, max_value=1.0))
+    return TruncatedNormalTypes(
+        mean=lo - 5.0 * sd + shift * (width + 10.0 * sd), sd=sd, lo=lo, hi=150.0
+    )
+
+
+def _grid_params(u, dist, fee: float) -> MarketParams:
+    """A market of the given families; the fee is lowered where needed
+    to keep theta_max above u'(0) F / (u'(Q) u(Q))."""
+    q = 0.8
+    if math.isfinite(u.u_prime_zero):
+        fee = min(fee, 0.5 * dist.theta_max * u.u_prime(q) * u.u(q) / u.u_prime_zero)
+    return MarketParams(N=1e7, F=fee, Q=q, phi=0.3, K=23.0, A=0.6, B=5.0,
+                        C=1e9, utility=u, dist=dist)
+
+
+def _close(got, want) -> bool:
+    if want is None:
+        return got is None
+    return got is not None and abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+
+@given(
+    u=st.sampled_from(_GRID_UTILITIES),
+    dist=st.one_of(st.sampled_from(_GRID_DISTS), _narrow_normals()),
+    scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
+    fee=st.sampled_from([30.0, 10.0, 0.01]),
+    w_rel=st.lists(st.floats(min_value=1e-6, max_value=3.0), max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_grid_matches_point_path(u, dist, scheme, fee, w_rel):
+    p = _grid_params(u, dist, fee)
+    q = case_bound_d(p)
+    ws = np.array(
+        [0.0, case_bound_a(p), case_bound_b_sar(p), case_bound_b_sur(p),
+         q * (1.0 - 1e-9), q] + [r * q for r in w_rel]
+    )
+    points, failing = [], []
+    for w in ws:
+        try:
+            if scheme is Scheme.SAR:
+                points.append((evaluate_point(p, float(w), scheme), None, None))
+            else:
+                pt = _eval_unaware(p, float(w))
+                points.append((pt.pe_sur, pt.ad_surd, pt.theta4))
+        except InternalConsistencyError:
+            failing.append(f"at w={w:.6g}")
+    if failing:
+        # a structural check fails at some reward on both paths
+        with pytest.raises(InternalConsistencyError) as err:
+            evaluate_grid(p, ws, scheme)
+        assert any(where in str(err.value) for where in failing)
+        return
+    grid = evaluate_grid(p, ws, scheme)
+    for i, (w, (pe, ad_surd, theta4)) in enumerate(zip(ws, points)):
+        got_surd = None if scheme is Scheme.SAR else grid.unaware_point(i).ad_surd
+        got = grid.point(i)
+        assert got.case_label == pe.case_label, (w, got.case_label, pe.case_label)
+        assert _close(got.demand, pe.demand), (w, got.demand, pe.demand)
+        assert _close(got.r_data, pe.r_data), (w, got.r_data, pe.r_data)
+        assert _close(None if math.isnan(grid.theta4[i]) else grid.theta4[i], theta4)
+        assert _close(got.ad.revenue, pe.ad.revenue), (w, got.ad, pe.ad)
+        assert _close(got.ad.p_star, pe.ad.p_star), (w, got.ad, pe.ad)
+        if got_surd is not None:
+            for field in ("revenue", "p_star", "p_star_i", "p_star_ii"):
+                assert _close(getattr(got_surd, field), getattr(ad_surd, field)), (
+                    w, field, got_surd, ad_surd)
+
+
+def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
+    # sd 1/200 of the support: up to 65 density panels per segment, far
+    # more panels than one node chunk holds
+    import datarewards.model as model_mod
+
+    dist = TruncatedNormalTypes(mean=75.0, sd=0.75, lo=0.0, hi=150.0)
+    p = _grid_params(LogUtility(), dist, 10.0)
+    ws = np.linspace(0.0, 1.5 * case_bound_d(p), 150)
+    chunks: list[int] = []
+    pdf = dist.pdf
+
+    def counted_pdf(theta):
+        chunks.append(theta.size)
+        return pdf(theta)
+
+    monkeypatch.setattr(TruncatedNormalTypes, "pdf", lambda self, t: counted_pdf(t))
+    grid = evaluate_grid(p, ws, Scheme.SUR)
+    monkeypatch.undo()
+    assert len(chunks) > 2
+    assert max(chunks) <= model_mod._CHUNK_PANELS * 32
+    for i in (0, 40, 90, 149):
+        want = _eval_unaware(p, float(ws[i])).pe_sur
+        assert grid.point(i).demand == pytest.approx(want.demand, rel=1e-12)
+
+
+def test_array_root_names_the_first_failing_reward(fig5a_params):
+    p = fig5a_params
+    in_c = np.array([1.2, 1.5, 2.0]) * case_bound_b_sar(p)
+    # case-B rewards handed to the case-C root: its bracket fails
+    w_bad = 0.9 * case_bound_b_sar(p)
+    with pytest.raises(InternalConsistencyError, match=f"at w={w_bad:.6g}"):
+        users_mod.solve_theta2(p, np.array([in_c[0], w_bad, in_c[1], 0.5 * w_bad]))
+    w_c = 0.5 * (case_bound_b_sur(p) + case_bound_d(p))
+    w_bad = 0.5 * case_bound_a(p)
+    with pytest.raises(InternalConsistencyError, match=f"at w={w_bad:.6g}"):
+        users_mod.solve_theta4(p, np.array([w_c, w_bad, 0.3 * case_bound_a(p)]))
+
+
+def test_band_monotonicity_check():
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    _check_band_monotone(w, np.array([math.nan, 10.0, 11.0, 12.0]))
+    with pytest.raises(InternalConsistencyError, match=r"from 11 \(w=3\) to 10.5"):
+        _check_band_monotone(w, np.array([10.0, math.nan, 11.0, 10.5]))
 
 
 # ---------------------------------------------------------------------------

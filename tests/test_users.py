@@ -21,12 +21,14 @@ from datarewards import (
     solve_theta2,
     solve_theta4,
 )
+from datarewards.numerics import bisect_root, bisect_roots
 from datarewards.oracle import oracle_user_br, user_payoff
 from datarewards.users import (
     case_bound_a,
     case_bound_b_sar,
     case_bound_b_sur,
     case_bound_d,
+    case_index,
     theta0,
     theta1,
     theta3,
@@ -90,6 +92,18 @@ def test_infinite_marginal_collapses_lower_thresholds():
     for w in np.geomspace(1e-6 * case_bound_a(p), 0.999 * case_bound_d(p), 25):
         assert classify_sur(p, float(w)) is SurCase.C
     assert classify_sur(p, case_bound_d(p)) is SurCase.D
+
+
+@pytest.mark.parametrize("utility", [LogUtility(), AlphaFairUtility(alpha=0.5, mu=0.0)])
+def test_case_index_matches_classify(utility):
+    p = _mk(utility, UniformTypes(155.0))
+    bounds = [case_bound_a(p), case_bound_b_sar(p), case_bound_b_sur(p), case_bound_d(p)]
+    w = np.array([0.0] + [b * f for b in bounds for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+                 + list(np.linspace(0.0, 3.0 * case_bound_d(p), 50)))
+    got_sar, got_sur = case_index(p, w, True), case_index(p, w, False)
+    for i, wi in enumerate(w):
+        assert list(SarCase)[got_sar[i]] is classify_sar(p, float(wi))
+        assert list(SurCase)[got_sur[i]] is classify_sur(p, float(wi))
 
 
 # alpha-fair mu = 0 (u'(0) infinite) markets of both type families
@@ -187,6 +201,40 @@ def test_theta4_increases_with_reward(log_uniform):
     ws = np.geomspace(b2 * 1.05, q * 0.999, 12)
     t4s = [solve_theta4(p, float(w)) for w in ws]
     assert all(a < b for a, b in zip(t4s, t4s[1:]))
+
+
+@pytest.mark.parametrize("utility", [
+    LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8),
+    AlphaFairUtility(alpha=0.5, mu=0.0), ExpUtility(gamma=0.7),
+])
+def test_array_roots_match_scalar_roots(utility):
+    p = _mk(utility, TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0), F=10.0)
+    q = case_bound_d(p)
+    w4 = np.geomspace(max(case_bound_b_sur(p), 1e-3 * q) * 1.001, q * 0.999, 30)
+    np.testing.assert_allclose(
+        solve_theta4(p, w4), [solve_theta4(p, float(w)) for w in w4], rtol=1e-12
+    )
+    w2 = np.geomspace(case_bound_b_sar(p), 3.0 * q, 30)
+    np.testing.assert_allclose(
+        solve_theta2(p, w2), [solve_theta2(p, float(w)) for w in w2], rtol=1e-12
+    )
+
+
+def test_bisect_roots_takes_the_scalar_steps():
+    # the same arithmetic on floats and arrays: bit-equal roots,
+    # including brackets that end at a root or start narrower than xtol
+    c = np.array([2.0, 3.0, 0.0, 8.0, 1e-6, 4.9130000000001])
+    lo = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.7])
+    hi = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.7 + 1e-13])
+
+    def f(x, k):
+        return x * x * x - c[k]
+
+    idx = np.arange(len(c))
+    got = bisect_roots(f, lo, hi, 1e-12, f(lo, idx), f(hi, idx))
+    for k in idx:
+        want = bisect_root(lambda x: f(x, k), float(lo[k]), float(hi[k]), 1e-12)
+        assert got[k] == want
 
 
 # ---------------------------------------------------------------------------
