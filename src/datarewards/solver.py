@@ -42,6 +42,7 @@ from .users import (
     case_bound_b_sur,
     case_bound_d,
     case_index,
+    root_resolution,
     solve_theta2,
     solve_theta4,
     theta0,
@@ -531,12 +532,16 @@ def feasible_region(
     return FeasibleRegion(intervals=tuple(intervals))
 
 
-def _check_band_monotone(w: np.ndarray, theta4: np.ndarray) -> None:
-    """The non-subscriber band's upper edge must grow with the reward;
-    theta4 is NaN at the rewards without a band."""
+def _check_band_monotone(
+    params: MarketParams, w: np.ndarray, theta4: np.ndarray
+) -> None:
+    """The non-subscriber band's upper edge must grow with the reward, up
+    to the resolution of its bisected roots; theta4 is NaN at the
+    rewards without a band."""
     band = ~np.isnan(theta4)
     w, t4 = w[band], theta4[band]
-    bad = (w[1:] > w[:-1]) & (t4[1:] < t4[:-1] * (1.0 - 1e-9))
+    slack = root_resolution(params)
+    bad = (w[1:] > w[:-1]) & (t4[1:] < t4[:-1] * (1.0 - 1e-9) - slack)
     if bad.any():
         i = int(np.argmax(bad))
         raise InternalConsistencyError(
@@ -608,7 +613,7 @@ def _solve_unaware_pair(
     start = 0
     for grid in grids:
         piece = slice(start, start + len(grid))
-        _check_band_monotone(grid, evals.theta4[piece])
+        _check_band_monotone(params, grid, evals.theta4[piece])
         for objective, values in (
             (lambda e: e.r_total_sur, evals.r_total[piece]),
             (lambda e: e.r_total_surd, evals.r_total_surd[piece]),

@@ -209,12 +209,20 @@ def _first(bad, *values) -> list[float]:
     return list(values)
 
 
+def root_resolution(params: MarketParams) -> float:
+    """Absolute resolution of the bisected thresholds theta2 and theta4:
+    bisection stops at a bracket this wide, so a root lies within half
+    of it of the exact root, and two roots can be ordered wrongly by up
+    to all of it. Checks on these roots allow that much."""
+    return 1e-10 * params.dist.theta_max
+
+
 def _bracketed_root(params: MarketParams, f, lo, hi, f_lo, f_hi, w, at_lo, at_hi):
     """Root of f(params, w)(theta) on [lo, hi]: lo where at_lo, else hi
     where at_hi (a root degenerated to an endpoint exactly at a case
-    boundary), else found by bisection to 1e-10 theta_max. Elementwise,
+    boundary), else found by bisection to `root_resolution`. Elementwise,
     by array bisection, when w is an array."""
-    xtol = 1e-10 * params.dist.theta_max
+    xtol = root_resolution(params)
     if isinstance(w, np.ndarray):
         root = np.where(at_lo, lo, hi)
         inner = ~at_lo & ~at_hi
@@ -265,7 +273,8 @@ def solve_theta4(params: MarketParams, w):
 
     Root of v(theta) = theta u(level) - (phi/w) level - theta u(Q) + F
     on (theta3, theta1): below it users watch ads without subscribing,
-    above it they subscribe. The returned root always exceeds theta0.
+    above it they subscribe. The exact root exceeds theta0; the returned
+    one does up to `root_resolution`.
 
     w may be one reward or an array of case-C^ rewards, whose roots are
     then found together by array bisection.
@@ -291,7 +300,7 @@ def solve_theta4(params: MarketParams, w):
         )
     root = _bracketed_root(params, _v, t3, t1, v3, v1, w, v3 <= 0.0, v1 >= 0.0)
     t0 = theta0(params)
-    low = root <= t0 * (1.0 - 1e-9)
+    low = root <= t0 * (1.0 - 1e-9) - root_resolution(params)
     if _any(low):
         root_, w_ = _first(low, root, w)
         raise InternalConsistencyError(

@@ -6,14 +6,18 @@ brute-force oracle. Slow by design; run with plain `pytest` to include
 them.
 """
 
+import math
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from datarewards import (
     AlphaFairUtility,
+    DomainError,
     ExpUtility,
     InternalConsistencyError,
     LogUtility,
@@ -39,6 +43,7 @@ from datarewards import (
 )
 from datarewards.oracle import (
     DiscretizedMarket,
+    _br_grid,
     oracle_stage1,
     oracle_user_br,
     user_payoff,
@@ -373,3 +378,75 @@ def test_criterion_10_batch_solves_clean(fig5a_tight, fig7c_params, appk_params)
             assert np.isfinite(out.r_total)
             thr = thresholds(p, out.omega_star, scheme_aware=scheme is Scheme.SAR)
             assert thr.theta0 > 0.0
+
+
+# ---------------------------------------------------------------------------
+# 11. perturbed presets of every utility x type-distribution family
+# ---------------------------------------------------------------------------
+
+# the 12 presets and the two alpha-fair ones with mu = 0: together they
+# cover the eight utility x type-distribution families
+_FAMILY_BASES = [(name, False) for name in PRESETS] + [("fig5b", True), ("fig7b", True)]
+
+
+def _perturbed(name: str, mu0: bool, scales, share: float) -> MarketParams:
+    """The preset's market with each parameter scaled by the next factor
+    of `scales`, at capacity D(0) + share (top - D(0)); top keeps the
+    preset's ratio of its top capacity to D(0), at least 1.05."""
+    pre = PRESETS[name]
+    s = iter(scales)
+    utility = pre.utility
+    if isinstance(utility, AlphaFairUtility):
+        alpha = min(utility.alpha * next(s), 0.95)
+        mu = 0.0 if mu0 else utility.mu * next(s)
+        utility = AlphaFairUtility(alpha=alpha, mu=mu)
+    elif isinstance(utility, ExpUtility):
+        utility = ExpUtility(gamma=utility.gamma * next(s))
+    dist = pre.dist
+    if isinstance(dist, UniformTypes):
+        dist = UniformTypes(dist.theta_max * next(s))
+    else:
+        dist = TruncatedNormalTypes(
+            mean=dist.mean * next(s), sd=dist.sd * next(s), lo=dist.lo, hi=dist.hi * next(s)
+        )
+    top = pre.sweep_to if pre.sweep_to is not None else pre.fixed_c
+    ratio = top / replace(pre.params(), utility=utility).baseline_demand()
+    base = MarketParams(
+        N=pre.N * next(s), F=pre.F * next(s), Q=pre.Q * next(s), phi=pre.phi * next(s),
+        K=pre.K * next(s), A=pre.A * next(s), B=pre.B * next(s), C=math.inf,
+        utility=utility, dist=dist,
+    )
+    d0 = base.baseline_demand()
+    return replace(base, C=d0 + share * (max(ratio, 1.05) - 1.0) * d0)
+
+
+@given(
+    base=st.sampled_from(_FAMILY_BASES),
+    # log-uniform factors within 10 %
+    logs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=12, max_size=12),
+    share=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_criterion_11_perturbed_families(base, logs, share):
+    try:
+        p = _perturbed(*base, [math.exp(v) for v in logs], share)
+    except ScenarioError:
+        reject()
+    outs = {scheme: solve(p, scheme, CFG150) for scheme in Scheme}
+    for scheme, out in outs.items():
+        assert out.demand <= p.C * (1.0 + 1e-6), f"{scheme}: {out.demand!r} > {p.C!r}"
+    assert outs[Scheme.SURD].r_total >= outs[Scheme.SUR].r_total * (1.0 - 1e-9)
+
+    # the oracle's optimum is feasible on its own grid
+    market = DiscretizedMarket.build(p, m=60, n_x=101, n_omega=20, n_p=50)
+    for scheme in Scheme:
+        try:
+            out = oracle_stage1(p, scheme, market)
+        except DomainError:
+            # no reward fits: the grid's zero-reward demand exceeds C
+            subs = market.theta_grid * p.utility.u(p.Q) - p.F > 0.0
+            assert p.N * p.Q * np.sum(market.weights[subs]) > p.C * (1.0 + 1e-9)
+            continue
+        r, x = _br_grid(p, market, out.omega_star, scheme)
+        d = p.N * np.sum(market.weights * (p.Q * r + out.omega_star * x))
+        assert d <= p.C * (1.0 + 1e-9)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from datarewards import (
     AdMarketStats,
     AlphaFairUtility,
+    DomainError,
     ExpUtility,
     LogUtility,
     MarketParams,
+    OperatorOutcome,
     Scheme,
     TruncatedNormalTypes,
     UniformTypes,
@@ -24,9 +27,11 @@ from datarewards.oracle import (
     _windowed_argmax,
     _x_cap,
     oracle_adv_br,
+    oracle_stage1,
     oracle_user_br,
     user_payoff,
 )
+from datarewards.presets import PRESETS
 from datarewards.users import case_bound_b_sur, case_bound_d, thresholds
 
 
@@ -221,7 +226,178 @@ def test_windowed_argmax_recovers_from_a_wrong_guess(guess):
         "random": rng.integers(0, n, 60),
     }[guess]
     idx, val = _windowed_argmax(
-        lambda rows, cand: table[rows[:, None], cand], n, guesses, np.zeros(60)
+        lambda rows, cand: table[rows, cand], n, guesses, np.zeros(60)
     )
     assert np.array_equal(idx, np.argmax(table, axis=1))
     assert np.array_equal(val, table.max(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# many rewards in one array pass against one reward at a time
+# ---------------------------------------------------------------------------
+
+
+_ARRAY_UTILITIES = [
+    LogUtility(),
+    AlphaFairUtility(alpha=0.5, mu=0.0),
+    AlphaFairUtility(alpha=0.8, mu=0.8),
+    ExpUtility(gamma=0.7),
+]
+_ARRAY_DISTS = [
+    UniformTypes(155.0),
+    TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+    # sd 1/100 of the support
+    TruncatedNormalTypes(mean=75.0, sd=1.5, lo=0.0, hi=150.0),
+]
+
+
+@given(
+    u=st.sampled_from(_ARRAY_UTILITIES),
+    dist=st.sampled_from(_ARRAY_DISTS),
+    scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
+    w_rels=st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=6),
+    m=st.integers(min_value=1, max_value=300),
+    n_x=st.sampled_from([2, 3, 201, 2001]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_br_grid_reward_array_matches_single_rewards(u, dist, scheme, w_rels, m, n_x, data):
+    params = _br_params(u, dist)
+    market = DiscretizedMarket.build(params, m=m, n_x=n_x)
+    w_max = 3.0 * params.phi * params.Q / params.F
+    # the top type's x grid collapses to 0 below this reward
+    w_flat = params.phi / (float(market.theta_grid[-1]) * u.u_prime_zero)
+    ws = [0.0, 1e-12, 0.5 * w_flat, w_max] + [r * params.phi * params.Q / params.F
+                                             for r in w_rels]
+    ws = np.array(data.draw(st.permutations(ws)))
+    assert _x_cap(params, float(market.theta_grid[-1]), 0.5 * w_flat) == 0.0
+    r, x = _br_grid(params, market, ws, scheme)
+    assert r.shape == x.shape == (len(ws), m)
+    for i, w in enumerate(ws):
+        want_r, want_x = _br_grid(params, market, float(w), scheme)
+        assert want_r.shape == want_x.shape == (m,)
+        assert np.array_equal(r[i], want_r)
+        assert np.array_equal(x[i], want_x)
+
+
+# ---------------------------------------------------------------------------
+# the stage-I oracle against its per-reward loop
+# ---------------------------------------------------------------------------
+
+
+def _pool_best_price_scalar(params, p_grid, n_ad, ey, ey2):
+    """Best (revenue, price) over the price grid for one watcher pool."""
+    if n_ad <= 0.0 or ey <= 0.0 or ey2 <= 0.0:
+        return 0.0, params.B / 2.0
+    m_resp = np.where(
+        p_grid < params.B,
+        (params.B - p_grid) / (2.0 * params.A) * (ey**2 / ey2) * n_ad,
+        0.0,
+    )
+    revenue = params.K * m_resp * p_grid
+    feasible = params.K * m_resp <= ey * n_ad * (1.0 + 1e-9)
+    revenue = np.where(feasible, revenue, -np.inf)
+    i = int(np.argmax(revenue))
+    if not np.isfinite(revenue[i]):
+        return 0.0, params.B / 2.0
+    return float(revenue[i]), float(p_grid[i])
+
+
+def _oracle_stage1_loop(params, scheme, market, refine_rounds=3):
+    """What `oracle_stage1` must return: each scanned reward evaluated
+    on its own, from the exhaustive best-response scan, and kept when
+    its r_total is strictly the largest so far."""
+    weights = market.weights
+
+    def disc_demand(w):
+        r, x = _br_grid_dense(params, market, w, scheme)
+        return float(params.N * np.sum(weights * (params.Q * r + w * x)))
+
+    w_hi = params.phi * params.Q / params.F
+    for _ in range(60):
+        if disc_demand(w_hi) > 2.0 * params.C:
+            break
+        w_hi *= 2.0
+
+    p_grid = np.linspace(0.0, params.B, market.n_p + 1)[1:]
+
+    def eval_omega(w):
+        r, x = _br_grid_dense(params, market, w, scheme)
+        d = float(params.N * np.sum(weights * (params.Q * r + w * x)))
+        if d > params.C * (1.0 + 1e-9):
+            return None
+        r_data = float(params.N * params.F * np.sum(weights * r))
+
+        def pool(mask):
+            wm = float(np.sum(weights[mask]))
+            if wm <= 0.0:
+                return 0.0, 0.0, 0.0
+            ey = float(np.sum(weights[mask] * x[mask])) / wm
+            ey2 = float(np.sum(weights[mask] * x[mask] ** 2)) / wm
+            return params.N * wm, ey, ey2
+
+        watchers = x > 0.0
+        if scheme is Scheme.SURD:
+            rev_i, p_i = _pool_best_price_scalar(params, p_grid, *pool(watchers & (r == 1)))
+            rev_ii, p_ii = _pool_best_price_scalar(params, p_grid, *pool(watchers & (r == 0)))
+            r_ad, prices = rev_i + rev_ii, (None, p_i, p_ii)
+        else:
+            r_ad, p_star = _pool_best_price_scalar(params, p_grid, *pool(watchers))
+            prices = (p_star, None, None)
+        return {"w": w, "r_data": r_data, "r_ad": r_ad, "r_total": r_data + r_ad,
+                "demand": d, "prices": prices}
+
+    best = None
+
+    def scan(lo, hi):
+        nonlocal best
+        for w in np.linspace(lo, hi, market.n_omega):
+            res = eval_omega(float(w))
+            if res is not None and (best is None or res["r_total"] > best["r_total"]):
+                best = res
+
+    scan(0.0, w_hi)
+    if best is None:
+        raise DomainError("no feasible reward found on the oracle grid")
+    step = w_hi / (market.n_omega - 1)
+    for _ in range(refine_rounds):
+        scan(max(best["w"] - step, 0.0), best["w"] + step)
+        step *= 2.0 / (market.n_omega - 1)
+    p_star, p_i, p_ii = best["prices"]
+    return OperatorOutcome(
+        scheme=scheme, omega_star=best["w"], p_star=p_star, p_star_i=p_i,
+        p_star_ii=p_ii, r_data=best["r_data"], r_ad=best["r_ad"],
+        r_total=best["r_total"], demand=best["demand"], case_label="oracle",
+        capacity_binding=abs(best["demand"] - params.C) <= 1e-4 * params.C,
+    )
+
+
+def _mid_capacity(name: str, mu0: bool = False) -> MarketParams:
+    """The preset's market at the middle of its capacity range."""
+    pre = PRESETS[name]
+    p = pre.params()
+    if mu0:
+        p = replace(p, utility=replace(p.utility, mu=0.0))
+    d0 = p.baseline_demand()
+    return replace(p, C=0.5 * (d0 + max(p.C, 1.05 * d0)))
+
+
+_STAGE1_MARKETS = [(name, False) for name in PRESETS] + [("fig5b", True)]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name,mu0", _STAGE1_MARKETS)
+def test_oracle_stage1_matches_per_reward_loop(name, mu0, scheme):
+    params = _mid_capacity(name, mu0)
+    market = DiscretizedMarket.build(params, m=80, n_x=101, n_omega=24, n_p=50)
+    got = oracle_stage1(params, scheme, market)
+    want = _oracle_stage1_loop(params, scheme, market)
+    assert got == want
+
+
+@pytest.mark.parametrize("name,scheme", [("fig5a", Scheme.SURD), ("fig7c", Scheme.SUR)])
+def test_oracle_stage1_matches_per_reward_loop_in_passes(name, scheme):
+    # 24 rewards of 700 types take several passes, the last one shorter
+    params = _mid_capacity(name)
+    market = DiscretizedMarket.build(params, m=700, n_x=101, n_omega=24, n_p=50)
+    assert oracle_stage1(params, scheme, market) == _oracle_stage1_loop(params, scheme, market)

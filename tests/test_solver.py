@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from datarewards.users import (
     case_bound_b_sar,
     case_bound_b_sur,
     case_bound_d,
+    root_resolution,
     thresholds,
 )
 
@@ -331,10 +333,16 @@ def test_array_root_names_the_first_failing_reward(fig5a_params):
 
 
 def test_band_monotonicity_check():
+    p = _log_uniform()
     w = np.array([1.0, 2.0, 3.0, 4.0])
-    _check_band_monotone(w, np.array([math.nan, 10.0, 11.0, 12.0]))
+    _check_band_monotone(p, w, np.array([math.nan, 10.0, 11.0, 12.0]))
     with pytest.raises(InternalConsistencyError, match=r"from 11 \(w=3\) to 10.5"):
-        _check_band_monotone(w, np.array([10.0, math.nan, 11.0, 10.5]))
+        _check_band_monotone(p, w, np.array([10.0, math.nan, 11.0, 10.5]))
+    # a fall within the resolution of the bisected roots is rounding
+    tiny = np.array([1e-3, 1e-3 - root_resolution(p), math.nan, 2e-3])
+    _check_band_monotone(p, w, tiny)
+    with pytest.raises(InternalConsistencyError):
+        _check_band_monotone(p, w, tiny - np.array([0.0, 2e-12, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +400,21 @@ def test_capacity_within_tolerance_below_baseline_solves(scheme):
     out = solve(p, scheme, FAST)
     assert out.omega_star == 0.0
     assert out.demand <= p.C * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SUR, Scheme.SURD])
+@pytest.mark.parametrize("excess", [1e-9, 1e-6, 1e-3])
+def test_theta4_checks_allow_the_root_resolution(scheme, excess):
+    # theta0 = 0.0056 is tiny against theta_max = 155, so theta4 is
+    # resolved to 1.55e-8, 2.8e-6 of theta0: its checks must allow that
+    base = MarketParams(
+        N=1e7, F=0.01, Q=0.8, phi=0.3, K=23.0, A=0.6, B=5.0, C=1e12,
+        utility=AlphaFairUtility(0.5, 0.0), dist=UniformTypes(155.0),
+    )
+    p = replace(base, C=base.baseline_demand() * (1.0 + excess))
+    out = solve(p, scheme)
+    assert 0.0 < out.omega_star
+    assert out.demand <= p.C
 
 
 def test_zero_reward_beyond_tolerance_is_an_error():
