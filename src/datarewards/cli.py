@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 missing input file, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,9 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call: a
+    build costs more than most parses."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -451,11 +451,16 @@ def solve_sar(
     hi = float(grid[min(best_i + 1, len(grid) - 1)])
     best = evals.point(best_i)
     if hi > lo:
+        evaluated: dict[float, PointEval] = {}
+
+        def at(w: float) -> PointEval:
+            evaluated[w] = evaluate_point(params, w, Scheme.SAR)
+            return evaluated[w]
+
         w_ref, _ = golden_max(
-            lambda w: evaluate_point(params, w, Scheme.SAR).r_total,
-            lo, hi, rel_tol=config.golden_tol,
+            lambda w: at(w).r_total, lo, hi, rel_tol=config.golden_tol,
         )
-        cand = evaluate_point(params, w_ref, Scheme.SAR)
+        cand = evaluated[w_ref]
         if cand.r_total > best.r_total:
             best = cand
     return _outcome(params, Scheme.SAR, best)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,17 @@ def test_reproduce_fixed_capacity_preset(capsys):
     assert len({r[0] for r in rows}) == 1  # single capacity
 
 
+def test_argparse_error_leaves_the_parser_reusable(capsys):
+    argv = ["reproduce", "appK", "--grid", "150"]
+    _, first, _ = _run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "appK", "--grid", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    _, second, _ = _run(capsys, argv)
+    assert second == first
+
+
 def test_reproduce_unknown_figure(capsys):
     code, _, err = _run(capsys, ["reproduce", "fig99"])
     assert code == 4
@@ -211,3 +226,31 @@ def test_verify_passes(capsys, scenario_file):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert all(line.startswith("PASS") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY = """
+import sys
+import datarewards, datarewards.cli, datarewards.oracle, datarewards.presets
+from datarewards import Scheme, solve
+params = datarewards.presets.PRESETS["fig7a"].params()
+for scheme in (Scheme.SAR, Scheme.SUR, Scheme.SURD):
+    assert solve(params, scheme).r_total > 0.0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_package_runs_without_loading_scipy():
+    """A fresh interpreter imports the package and solves a truncated
+    normal preset for every scheme with numpy alone."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -26,7 +26,7 @@ from datarewards import (
     save_scenario,
 )
 from datarewards.admarket import watch_segments
-from datarewards.model import integrate_segments, mass
+from datarewards.model import _normal_mass, integrate_segments, mass
 from datarewards.users import case_bound_d, x_watch_alone, x_watch_subscriber
 
 ALL_UTILITIES = [
@@ -431,6 +431,58 @@ def test_far_tail_mass_matches_integral(mean, lo, hi):
     want = integrate(dist, lambda t: 1.0, lo, hi)
     assert want > 0.0
     assert mass(dist, lo, hi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _mass_draws() -> tuple[np.ndarray, np.ndarray]:
+    """Intervals [z_a, z_b] for the normal-mass checks: z_a across
+    [-40, 40] with widths log-uniform in [1e-6, 10], intervals that
+    straddle the mean, far tails on both sides, and edges at 0."""
+    rng = np.random.default_rng(20)
+    width = 10.0 ** rng.uniform(-6.0, 1.0, 1000)
+    z_a = rng.uniform(-40.0, 40.0, 1000)
+    few = width[:200]
+    straddle = -few * rng.uniform(0.0, 1.0, 200)
+    tails = rng.uniform(8.0, 40.0, 200)
+    z_a = np.concatenate([z_a, straddle, tails, -tails - few, [0.0, -1.0]])
+    width = np.concatenate([width, few, few, few, [1.0, 1.0]])
+    return z_a, z_a + width
+
+
+def test_normal_mass_matches_mpmath():
+    """Against the exact mass of the same doubles at 50 digits: within
+    (4 + 2 z^2) 2^-52 (Q(a') + Q(b')), z the larger of |z_a| and |z_b|,
+    where Q is the upper tail and a', b' the two tail arguments used;
+    rounding z / sqrt 2 alone moves Q by about z^2 2^-52 relative. Where
+    the tails are below 2^-1022 they are subnormal doubles, so 4 of
+    their units, 2^-1072, are allowed on top."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def q(z: float):
+        return mp.erfc(mp.mpf(z) / mp.sqrt(2)) / 2
+
+    z_a, z_b = _mass_draws()
+    got = _normal_mass(z_a, z_b)
+    for a, b, m in zip(z_a.tolist(), z_b.tolist(), got.tolist()):
+        near, far = (a, b) if a > 0.0 else (-b, -a)
+        q_near, q_far = q(near), q(far)
+        bound = (4 + 2 * max(a * a, b * b)) * mp.mpf(2) ** -52 * (q_near + q_far)
+        if q_near + q_far < mp.mpf(2) ** -1022:
+            bound += mp.mpf(2) ** -1072
+        assert abs(mp.mpf(m) - (q_near - q_far)) <= bound, (a, b, m)
+
+
+def test_normal_mass_array_equals_scalar_bitwise():
+    z_a, z_b = _mass_draws()
+    want = [_normal_mass(a, b) for a, b in zip(z_a.tolist(), z_b.tolist())]
+    assert np.array_equal(_normal_mass(z_a, z_b), want)
+    square = _normal_mass(z_a[:64].reshape(8, 8), z_b[:64].reshape(8, 8))
+    assert np.array_equal(square, np.reshape(want[:64], (8, 8)))
+    top = np.float64(z_b[0])
+    assert np.array_equal(
+        _normal_mass(z_a, top), [_normal_mass(a, float(top)) for a in z_a.tolist()]
+    )
 
 
 def test_pdf_positive_inside_zero_outside():
