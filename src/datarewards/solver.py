@@ -304,10 +304,12 @@ def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> GridE
     """`evaluate_point` at every reward of the array ws in one array
     pass; under SUR or SURD, `_eval_unaware`, both unaware schemes.
 
-    The rewards are classified at once, the case-C thresholds found by
-    array bisection, the watch segments' moments taken from one batched
-    node pass per kind of watcher (`integrate_segments`), and the ad
-    side priced elementwise. One reward is cheaper on the scalar path.
+    The rewards are classified at once, the case-C thresholds found
+    together by `newton_roots` (each reward takes the steps of its
+    scalar root solve), the watch segments' moments taken from one
+    batched node pass per kind of watcher (`integrate_segments`), and
+    the ad side priced elementwise. One reward is cheaper on the scalar
+    path.
     """
     w = np.asarray(ws, dtype=float)
     aware = scheme is Scheme.SAR
@@ -317,21 +319,22 @@ def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> GridE
     theta_max = params.dist.theta_max
     top = np.full(len(w), theta_max)
     t1, t3 = theta1(params, w), theta3(params, w)
-    cutoff = np.full(len(w), theta0(params))  # subscribers: [cutoff, top]
-    sub_lo = np.where((case == 1) | in_c, t1, top)  # they watch on [sub_lo, top]
+    sub_lo = np.where((case == 1) | in_c, t1, top)  # subscribers watch on [sub_lo, top]
     theta4 = np.full(len(w), math.nan)
+    # subscribers are [theta0, top] in cases A and B, [theta2 or theta4,
+    # top] in case C and nobody in case D^
+    sub_mass = np.where(in_d, 0.0, mass(params.dist, theta0(params), theta_max))
     if in_c.any():
         if aware:
-            sub_lo[in_c] = cutoff[in_c] = solve_theta2(params, w[in_c])
+            cutoff = sub_lo[in_c] = solve_theta2(params, w[in_c])
         else:
-            theta4[in_c] = cutoff[in_c] = solve_theta4(params, w[in_c])
-    cutoff[in_d] = theta_max  # case D^: nobody subscribes
+            cutoff = theta4[in_c] = solve_theta4(params, w[in_c])
+        sub_mass[in_c] = mass(params.dist, cutoff, theta_max)
     # non-subscribers watch on [theta3, min(theta4, theta_max)] in case
     # C^ and on [theta3, theta_max] in case D^
     alone = np.zeros(len(w), dtype=bool) if aware else in_c | in_d
     alone_lo = np.where(alone, t3, 0.0)
     alone_hi = np.where(alone, np.fmin(theta4, theta_max), 0.0)
-    sub_mass = mass(params.dist, cutoff, top)
     m_sub, ex_sub, ex2_sub = _moments(params, w, sub_lo, top, x_watch_subscriber)
     m_alone, ex_alone, ex2_alone = _moments(params, w, alone_lo, alone_hi, x_watch_alone)
 
@@ -541,8 +544,8 @@ def _check_band_monotone(
     params: MarketParams, w: np.ndarray, theta4: np.ndarray
 ) -> None:
     """The non-subscriber band's upper edge must grow with the reward, up
-    to the resolution of its bisected roots; theta4 is NaN at the
-    rewards without a band."""
+    to the resolution of its roots (`root_resolution`); theta4 is NaN at
+    the rewards without a band."""
     band = ~np.isnan(theta4)
     w, t4 = w[band], theta4[band]
     slack = root_resolution(params)

@@ -9,9 +9,14 @@ valuation thresholds:
   theta3  anyone starts watching ads, phi/(w u'(0))
   theta4  subscription cutoff when non-subscribers may watch (unaware)
 
-theta2 and theta4 are roots of scalar equations solved by bisection;
-the bracketing sign conditions are structural guarantees and their
-violation raises InternalConsistencyError with diagnostics.
+theta2 and theta4 are roots of indifference equations h = 0 and v = 0.
+h and v are maxima over data levels of functions affine in theta (v
+less an affine term), hence convex in theta, and by the envelope
+theorem their slopes are u(level) and u(level) - u(Q), which their
+values compute anyway. They are solved by bracketed Newton
+(`numerics.newton_root`) to within half of `root_resolution` of the
+exact root. The bracketing sign conditions are structural guarantees
+and their violation raises InternalConsistencyError with diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .model import MarketParams
-from .numerics import bisect_root, bisect_roots
+from .numerics import newton_root, newton_roots
 
 
 class SarCase(Enum):
@@ -171,13 +176,18 @@ def _x_level(params: MarketParams, theta, w: float):
 def _h(params: MarketParams, w):
     """h(theta) = theta u(level) - F - (phi/w)(level - Q) at reward w:
     the net payoff of "subscribe and watch" at the watcher's interior
-    optimum. w may be a float, or an array of rewards for an array of
-    positive types theta."""
+    optimum, with its slope h'(theta) = u(level). w may be a float, or
+    an array of rewards for an array of positive types theta.
+
+    h is max over levels L >= 0 of theta u(L) - F - (phi/w)(L - Q), a
+    maximum of functions affine in theta, so it is convex, and by the
+    envelope theorem its slope is u at the maximizing level."""
     u, ratio = params.utility.u, params.phi / w
 
     def h(theta):
         level = _x_level(params, theta, w)
-        return theta * u(level) - params.F - ratio * (level - params.Q)
+        u_level = u(level)
+        return theta * u_level - params.F - ratio * (level - params.Q), u_level
 
     return h
 
@@ -185,13 +195,18 @@ def _h(params: MarketParams, w):
 def _v(params: MarketParams, w):
     """v(theta) = theta u(level) - (phi/w) level - theta u(Q) + F at
     reward w: the gain of watching without subscribing over
-    subscribing, at the watcher's optimum. w may be a float, or an
-    array of rewards for an array of positive types theta."""
+    subscribing, at the watcher's optimum, with its slope
+    v'(theta) = u(level) - u(Q). w may be a float, or an array of
+    rewards for an array of positive types theta.
+
+    Convex for the reason h is: a maximum over levels of functions
+    affine in theta, less the affine theta u(Q) - F."""
     u, ratio, u_q = params.utility.u, params.phi / w, params.utility.u(params.Q)
 
     def v(theta):
         level = _x_level(params, theta, w)
-        return theta * u(level) - ratio * level - theta * u_q + params.F
+        u_level = u(level)
+        return theta * u_level - ratio * level - theta * u_q + params.F, u_level - u_q
 
     return v
 
@@ -210,34 +225,39 @@ def _first(bad, *values) -> list[float]:
 
 
 def root_resolution(params: MarketParams) -> float:
-    """Absolute resolution of the bisected thresholds theta2 and theta4:
-    bisection stops at a bracket this wide, so a root lies within half
-    of it of the exact root, and two roots can be ordered wrongly by up
-    to all of it. Checks on these roots allow that much."""
+    """Absolute resolution of the thresholds theta2 and theta4: their
+    root search stops at a bracket this wide and returns its midpoint,
+    so a root lies within half of it of the exact root, and two roots
+    can be ordered wrongly by up to all of it. Checks on these roots
+    allow that much."""
     return 1e-10 * params.dist.theta_max
 
 
-def _bracketed_root(params: MarketParams, f, lo, hi, f_lo, f_hi, w, at_lo, at_hi):
-    """Root of f(params, w)(theta) on [lo, hi]: lo where at_lo, else hi
-    where at_hi (a root degenerated to an endpoint exactly at a case
-    boundary), else found by bisection to `root_resolution`. Elementwise,
-    by array bisection, when w is an array."""
+def _bracketed_root(
+    params: MarketParams, f, lo, hi, f_lo, f_hi, slope, w, at_lo, at_hi
+):
+    """Root of the convex f(params, w)(theta) on [lo, hi]: lo where
+    at_lo, else hi where at_hi (a root degenerated to an endpoint
+    exactly at a case boundary), else found by bracketed Newton to
+    `root_resolution`, starting from the end where f > 0 with its slope
+    `slope`. Elementwise, by `newton_roots`, when w is an array; each
+    reward then takes the steps its scalar solve takes."""
     xtol = root_resolution(params)
     if isinstance(w, np.ndarray):
         root = np.where(at_lo, lo, hi)
         inner = ~at_lo & ~at_hi
         if inner.any():
             w_in = w[inner]
-            root[inner] = bisect_roots(
+            root[inner] = newton_roots(
                 lambda t, i: f(params, w_in[i])(t), lo[inner], hi[inner], xtol,
-                f_lo=f_lo[inner], f_hi=f_hi[inner],
+                f_lo[inner], f_hi[inner], slope[inner],
             )
         return root
     if at_lo:
         return lo
     if at_hi:
         return hi
-    return bisect_root(f(params, w), lo, hi, xtol, f_lo=f_lo, f_hi=f_hi)
+    return newton_root(f(params, w), lo, hi, xtol, f_lo, f_hi, slope)
 
 
 def solve_theta2(params: MarketParams, w):
@@ -246,16 +266,19 @@ def solve_theta2(params: MarketParams, w):
     Root of h(theta) = theta u(level) - F - (phi/w)(level - Q) on
     (theta1, theta0), where level = (u')^{-1}(phi/(w theta)). h is the
     net payoff of "subscribe and watch" at the watcher's interior
-    optimum; it is strictly increasing between the brackets.
+    optimum. It is convex with slope u(level) > 0 on the bracket, so
+    Newton steps from theta0, where h > 0, descend to the root without
+    passing it; the result lies within `root_resolution`/2 of it.
 
     w may be one reward or an array of case-C rewards, whose roots are
-    then found together by array bisection.
+    then found together, each by the steps of its scalar solve.
     """
     t0, t1 = theta0(params), theta1(params, w)
     if isinstance(w, np.ndarray):
         t0 = np.full(len(w), t0)
     h = _h(params, w)
-    h1, h0 = h(t1), h(t0)
+    h1, _ = h(t1)
+    h0, slope0 = h(t0)
     tol = 1e-9 * params.F
     bad = (h1 >= tol) | (h0 <= -tol)
     if _any(bad):
@@ -265,7 +288,9 @@ def solve_theta2(params: MarketParams, w):
             f"h(theta1) < 0 < h(theta0) but h({t1_:.6g})={h1_:.6g}, "
             f"h({t0_:.6g})={h0_:.6g} at w={w_:.6g}"
         )
-    return _bracketed_root(params, _h, t1, t0, h1, h0, w, h1 >= 0.0, h0 <= 0.0)
+    return _bracketed_root(
+        params, _h, t1, t0, h1, h0, slope0, w, h1 >= 0.0, h0 <= 0.0
+    )
 
 
 def solve_theta4(params: MarketParams, w):
@@ -273,22 +298,29 @@ def solve_theta4(params: MarketParams, w):
 
     Root of v(theta) = theta u(level) - (phi/w) level - theta u(Q) + F
     on (theta3, theta1): below it users watch ads without subscribing,
-    above it they subscribe. The exact root exceeds theta0; the returned
-    one does up to `root_resolution`.
+    above it they subscribe. v is convex with slope u(level) - u(Q) < 0
+    on the bracket, so Newton steps from theta3, where v > 0, climb to
+    the root without passing it; the result lies within
+    `root_resolution`/2 of it. Near the collapse reward phi Q/F the
+    root nears theta1, where the slope vanishes, and the steps slow to
+    halving. The exact root exceeds theta0; the returned one does up
+    to `root_resolution`.
 
     w may be one reward or an array of case-C^ rewards, whose roots are
-    then found together by array bisection.
+    then found together, each by the steps of its scalar solve.
     """
     t1, t3 = theta1(params, w), theta3(params, w)
-    # v = F at theta = 0, where nobody gains from watching (u'(0) = inf)
+    # v = F at theta = 0, where nobody gains from watching (u'(0) = inf),
+    # with slope u(0) - u(Q) = -u(Q); the array v takes positive types
     v = _v(params, w)
     if isinstance(w, np.ndarray):
         v3 = np.full(len(w), params.F)
+        slope3 = np.full(len(w), -params.utility.u(params.Q))
         pos = t3 > 0.0
-        v3[pos] = _v(params, w[pos])(t3[pos])
+        v3[pos], slope3[pos] = _v(params, w[pos])(t3[pos])
     else:
-        v3 = v(t3) if t3 > 0.0 else params.F
-    v1 = v(t1)
+        v3, slope3 = v(t3)
+    v1, _ = v(t1)
     tol = 1e-9 * params.F
     bad = (v3 <= -tol) | (v1 >= tol)
     if _any(bad):
@@ -298,7 +330,9 @@ def solve_theta4(params: MarketParams, w):
             f"v(theta3) > 0 > v(theta1) but v({t3_:.6g})={v3_:.6g}, "
             f"v({t1_:.6g})={v1_:.6g} at w={w_:.6g}"
         )
-    root = _bracketed_root(params, _v, t3, t1, v3, v1, w, v3 <= 0.0, v1 >= 0.0)
+    root = _bracketed_root(
+        params, _v, t3, t1, v3, v1, slope3, w, v3 <= 0.0, v1 >= 0.0
+    )
     t0 = theta0(params)
     low = root <= t0 * (1.0 - 1e-9) - root_resolution(params)
     if _any(low):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import datarewards.users as users_mod
 from datarewards import (
     AlphaFairUtility,
     ExpUtility,
@@ -21,14 +22,16 @@ from datarewards import (
     solve_theta2,
     solve_theta4,
 )
-from datarewards.numerics import bisect_root, bisect_roots
+from datarewards.numerics import newton_root, newton_roots
 from datarewards.oracle import oracle_user_br, user_payoff
+from datarewards.presets import PRESETS
 from datarewards.users import (
     case_bound_a,
     case_bound_b_sar,
     case_bound_b_sur,
     case_bound_d,
     case_index,
+    root_resolution,
     theta0,
     theta1,
     theta3,
@@ -139,7 +142,11 @@ def test_infinite_marginal_small_reward_matches_oracle(p):
 # threshold roots
 # ---------------------------------------------------------------------------
 
+# a root solve that divides by zero or takes a logarithm of 0 fails
+_strict = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+
+@_strict
 def test_theta2_defining_equation(log_uniform):
     p = log_uniform
     w = 1.2 * case_bound_b_sar(p)
@@ -150,12 +157,14 @@ def test_theta2_defining_equation(log_uniform):
     assert abs(h) <= 1e-8 * p.F
 
 
+@_strict
 def test_theta2_decreases_with_reward(log_uniform):
     p = log_uniform
     w = 1.2 * case_bound_b_sar(p)
     assert solve_theta2(p, 1.1 * w) < solve_theta2(p, w)
 
 
+@_strict
 def test_theta2_against_dense_scan(log_uniform):
     p = log_uniform
     w = 1.2 * case_bound_b_sar(p)
@@ -173,12 +182,14 @@ def test_theta2_against_dense_scan(log_uniform):
     assert grid[flips[0]] <= t2 <= grid[flips[0] + 1]
 
 
+@_strict
 def test_theta2_wrong_case_raises(log_uniform):
     p = log_uniform
     with pytest.raises(InternalConsistencyError):
         solve_theta2(p, 0.5 * case_bound_b_sar(p))
 
 
+@_strict
 @pytest.mark.parametrize(
     "utility",
     [LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8), ExpUtility(gamma=0.7)],
@@ -195,6 +206,7 @@ def test_theta4_defining_equation(utility):
     assert abs(v) <= 1e-7 * p.F
 
 
+@_strict
 def test_theta4_increases_with_reward(log_uniform):
     p = log_uniform
     b2, q = case_bound_b_sur(p), case_bound_d(p)
@@ -203,6 +215,7 @@ def test_theta4_increases_with_reward(log_uniform):
     assert all(a < b for a, b in zip(t4s, t4s[1:]))
 
 
+@_strict
 @pytest.mark.parametrize("utility", [
     LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8),
     AlphaFairUtility(alpha=0.5, mu=0.0), ExpUtility(gamma=0.7),
@@ -211,30 +224,173 @@ def test_array_roots_match_scalar_roots(utility):
     p = _mk(utility, TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0), F=10.0)
     q = case_bound_d(p)
     w4 = np.geomspace(max(case_bound_b_sur(p), 1e-3 * q) * 1.001, q * 0.999, 30)
-    np.testing.assert_allclose(
-        solve_theta4(p, w4), [solve_theta4(p, float(w)) for w in w4], rtol=1e-12
+    np.testing.assert_array_equal(
+        solve_theta4(p, w4), [solve_theta4(p, float(w)) for w in w4]
     )
     w2 = np.geomspace(case_bound_b_sar(p), 3.0 * q, 30)
-    np.testing.assert_allclose(
-        solve_theta2(p, w2), [solve_theta2(p, float(w)) for w in w2], rtol=1e-12
+    np.testing.assert_array_equal(
+        solve_theta2(p, w2), [solve_theta2(p, float(w)) for w in w2]
     )
 
 
-def test_bisect_roots_takes_the_scalar_steps():
-    # the same arithmetic on floats and arrays: bit-equal roots,
-    # including brackets that end at a root or start narrower than xtol
-    c = np.array([2.0, 3.0, 0.0, 8.0, 1e-6, 4.9130000000001])
-    lo = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.7])
-    hi = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.7 + 1e-13])
+@_strict
+def test_newton_roots_take_the_scalar_steps():
+    # the same arithmetic on floats and arrays: bit-equal roots, within
+    # xtol/2 of the exact root, for convex cubes rising (y = x) and
+    # falling (y = 2 - x), including brackets that end at a root or
+    # start narrower than xtol
+    c = np.array([2.0, 3.0, 0.0, 8.0, 1e-6, 4.9130000000001] * 2)
+    lo = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.7] * 2)
+    hi = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.7 + 1e-13] * 2)
+    falling = np.repeat([False, True], 6)
+    lo[falling], hi[falling] = 2.0 - hi[falling], 2.0 - lo[falling]
+    sign = np.where(falling, -1.0, 1.0)
+    xtol = 1e-12
 
     def f(x, k):
-        return x * x * x - c[k]
+        y = np.where(falling[k], 2.0 - x, x)
+        return y * y * y - c[k], 3.0 * y * y * sign[k]
 
     idx = np.arange(len(c))
-    got = bisect_roots(f, lo, hi, 1e-12, f(lo, idx), f(hi, idx))
+    (f_lo, d_lo), (f_hi, d_hi) = f(lo, idx), f(hi, idx)
+    slope = np.where(f_lo > 0.0, d_lo, d_hi)
+    got = newton_roots(f, lo, hi, xtol, f_lo, f_hi, slope)
     for k in idx:
-        want = bisect_root(lambda x: f(x, k), float(lo[k]), float(hi[k]), 1e-12)
+        def f_k(x, k=k):
+            value, d = f(np.array([x]), np.array([k]))
+            return float(value[0]), float(d[0])
+
+        want = newton_root(
+            f_k, float(lo[k]), float(hi[k]), xtol,
+            float(f_lo[k]), float(f_hi[k]), float(slope[k]),
+        )
         assert got[k] == want
+        exact = np.cbrt(c[k])
+        assert abs(got[k] - (2.0 - exact if falling[k] else exact)) <= 0.5 * xtol
+
+
+def _count_evals(monkeypatch):
+    """Record, per scalar theta2/theta4 solve, the evaluations of f made
+    by the root search and the halvings bisection would need to bring
+    the same bracket to `root_resolution`."""
+    log = []
+
+    def counting(f, lo, hi, xtol, *args):
+        n = 0
+
+        def f_counted(theta):
+            nonlocal n
+            n += 1
+            return f(theta)
+
+        root = newton_root(f_counted, lo, hi, xtol, *args)
+        log.append((n, math.ceil(math.log2(abs(hi - lo) / xtol))))
+        return root
+
+    monkeypatch.setattr(users_mod, "newton_root", counting)
+    return log
+
+
+@_strict
+@pytest.mark.parametrize("name", ["fig5a", "fig5b", "fig7c", "appK"])
+def test_root_evaluation_budget(name, monkeypatch):
+    p = PRESETS[name].params()
+    log = _count_evals(monkeypatch)
+    b4, q, b2 = case_bound_b_sur(p), case_bound_d(p), case_bound_b_sar(p)
+    for frac in np.linspace(0.1, 0.9, 9):
+        solve_theta4(p, b4 + frac * (q - b4))
+        solve_theta2(p, b2 * (1.0 + 3.0 * frac))
+    assert len(log) == 18 and max(n for n, _ in log) <= 8
+    # near the collapse reward v'(theta4) -> 0 and Newton slows, but it
+    # never needs more evaluations than bisection on the same bracket
+    log.clear()
+    for w in (b4 * (1.0 + 1e-9), q * (1.0 - 1e-6), q * (1.0 - 1e-9)):
+        solve_theta4(p, w)
+    for w in (b2 * (1.0 + 1e-6), b2 * 1e3):
+        solve_theta2(p, w)
+    assert len(log) == 5
+    assert all(n <= halvings for n, halvings in log)
+
+
+def _mp_families():
+    """Markets of every utility x type family, with alpha-fair mu = 0
+    and narrow truncated normals."""
+    utilities = [
+        LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8),
+        AlphaFairUtility(alpha=0.5, mu=0.0), AlphaFairUtility(alpha=0.8, mu=0.0),
+        ExpUtility(gamma=0.7),
+    ]
+    dists = [
+        UniformTypes(155.0),
+        TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0),
+        TruncatedNormalTypes(mean=60.0, sd=0.5, lo=59.0, hi=61.0),
+    ]
+    return [_mk(u, d, F=10.0) for u in utilities for d in dists]
+
+
+def _mp_utility(mp, utility):
+    """u, u' and (u')^{-1} of the utility in mpmath arithmetic."""
+    if isinstance(utility, LogUtility):
+        return mp.log1p, (lambda z: 1 / (1 + z)), (lambda s: 1 / s - 1)
+    if isinstance(utility, ExpUtility):
+        g = mp.mpf(utility.gamma)
+        return (
+            lambda z: -mp.expm1(-g * z),
+            lambda z: g * mp.exp(-g * z),
+            lambda s: mp.log(g / s) / g,
+        )
+    a, mu = mp.mpf(utility.alpha), mp.mpf(utility.mu)
+    return (
+        lambda z: ((z + mu) ** (1 - a) - mu ** (1 - a)) / (1 - a),
+        lambda z: (z + mu) ** -a,
+        lambda s: s ** (-1 / a) - mu,
+    )
+
+
+@_strict
+@pytest.mark.parametrize("p", _mp_families(), ids=lambda p: (
+    f"{type(p.utility).__name__}{getattr(p.utility, 'mu', '')}-"
+    f"{type(p.dist).__name__}{p.dist.theta_max:g}"
+))
+def test_roots_match_mpmath(p):
+    # theta2 and theta4 within root_resolution/2 of their 50-digit roots
+    # just above the case bounds, mid-case, and where v'(theta4) -> 0
+    # below the collapse reward phi Q/F
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    u, u_prime, inv = _mp_utility(mp, p.utility)
+    F, Q, phi = mp.mpf(p.F), mp.mpf(p.Q), mp.mpf(p.phi)
+    u_q = u(Q)
+    half = 0.5 * root_resolution(p)
+
+    def theta1_(w):
+        return phi / (w * u_prime(Q))
+
+    def level(theta, w):
+        return max(inv(phi / (w * theta)), 0) if theta > 0 else mp.mpf(0)
+
+    def h(theta, w):
+        lvl = level(theta, w)
+        return theta * u(lvl) - F - (phi / w) * (lvl - Q)
+
+    def v(theta, w):
+        lvl = level(theta, w)
+        return theta * u(lvl) - (phi / w) * lvl - theta * u_q + F
+
+    q = case_bound_d(p)
+    b4 = case_bound_b_sur(p) or 1e-6 * q  # mu = 0: case C^ starts at 0
+    for w in (b4 * (1.0 + 1e-9), b4 * (1.0 + 1e-6), 0.5 * (b4 + q),
+              q * (1.0 - 1e-6), q * (1.0 - 1e-9)):
+        wm = mp.mpf(w)
+        t3 = phi / (wm * u_prime(0)) if p.utility.u_prime_zero < math.inf else 0
+        exact = mp.findroot(lambda t: v(t, wm), (t3, theta1_(wm)), solver="anderson")
+        assert abs(solve_theta4(p, w) - float(exact)) <= half, w
+    b2 = case_bound_b_sar(p)
+    for w in (b2 * (1.0 + 1e-9), b2 * (1.0 + 1e-6), 2.0 * b2, max(q, 4.0 * b2)):
+        wm = mp.mpf(w)
+        exact = mp.findroot(lambda t: h(t, wm), (theta1_(wm), F / u_q), solver="anderson")
+        assert abs(solve_theta2(p, w) - float(exact)) <= half, w
 
 
 # ---------------------------------------------------------------------------
