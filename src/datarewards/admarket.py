@@ -9,15 +9,15 @@ maximizer driven by the first two moments of the per-watcher ad count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .model import MarketParams, Scheme, integrate, mass
+from .model import MarketParams, Scheme, integrate, integrate_segments, mass
 from .users import (
-    SarCase,
     SurCase,
     Thresholds,
     thresholds,
@@ -34,7 +34,8 @@ class UserClass(Enum):
 
 @dataclass(frozen=True)
 class AdMarketStats:
-    """Watcher mass and per-watcher ad-count moments.
+    """Watcher mass and per-watcher ad-count moments; elementwise
+    arrays at an array of rewards.
 
     n_ad = 0 forces ey = ey2 = 0 by convention.
     """
@@ -48,74 +49,75 @@ class AdMarketStats:
 ZERO_STATS = AdMarketStats(n_ad=0.0, ey=0.0, ey2=0.0)
 
 
-def _aware(scheme: Scheme) -> bool:
-    return scheme is Scheme.SAR
-
-
-def watch_segments(
-    params: MarketParams,
-    w: float,
-    scheme: Scheme,
-    thr: Thresholds | None = None,
-) -> list[tuple[float, float, bool]]:
-    """Analytic watching segments as (lo, hi, watcher_subscribes).
-
-    The segment endpoints are the thresholds themselves; integrals over
-    them never scan indicator functions.
-    """
-    if thr is None:
-        thr = thresholds(params, w, _aware(scheme))
-    theta_max = params.dist.theta_max
-    case = thr.case
-    segments: list[tuple[float, float, bool]] = []
-    if case is SarCase.B or case is SurCase.B:
-        segments.append((thr.theta1, theta_max, True))
-    elif case is SarCase.C:
-        assert thr.theta2 is not None
-        segments.append((thr.theta2, theta_max, True))
-    elif case is SurCase.C:
-        assert thr.theta4 is not None
-        segments.append((thr.theta3, min(thr.theta4, theta_max), False))
-        segments.append((thr.theta1, theta_max, True))
-    elif case is SurCase.D:
-        segments.append((thr.theta3, theta_max, False))
-    return [(lo, hi, sub) for lo, hi, sub in segments if hi > lo]
-
-
 @dataclass(frozen=True)
 class WatchMoments:
-    """Type mass of one watch segment and the weighted integrals of the
-    ads watched there, int x g and int x^2 g."""
+    """Type mass of a pool of watchers and the weighted integrals of the
+    ads they watch, int x g and int x^2 g: floats at one reward, arrays
+    at an array of rewards. Two pools add up to the pooled one."""
 
-    subscribes: bool
-    mass: float
-    ex: float
-    ex2: float
+    mass: float | np.ndarray
+    ex: float | np.ndarray
+    ex2: float | np.ndarray
+
+    def __add__(self, other: WatchMoments) -> WatchMoments:
+        return WatchMoments(
+            self.mass + other.mass, self.ex + other.ex, self.ex2 + other.ex2
+        )
+
+
+def _segment_moments(params: MarketParams, w, lo, hi, xfun) -> WatchMoments:
+    """Moments of the watch segment [lo, hi] with ads x = xfun, from one
+    `integrate` pass at one reward or one `integrate_segments` pass at
+    an array of rewards; zero where the segment holds no mass."""
+
+    def x_and_x2(theta, seg=None):
+        x = xfun(params, theta, w if seg is None else w[seg])
+        return np.array((x, x * x))
+
+    seg_mass = mass(params.dist, lo, hi)
+    if isinstance(w, np.ndarray):
+        hi = np.where(seg_mass > 0.0, hi, lo)
+        ex, ex2 = integrate_segments(params.dist, x_and_x2, lo, hi, 2)
+        return WatchMoments(seg_mass, ex, ex2)
+    if seg_mass <= 0.0:
+        return WatchMoments(0.0, 0.0, 0.0)  # empty, or outside the support
+    ex, ex2 = integrate(params.dist, x_and_x2, lo, hi).tolist()
+    return WatchMoments(seg_mass, ex, ex2)
 
 
 def watch_moments(
-    params: MarketParams,
-    w: float,
-    scheme: Scheme,
-    thr: Thresholds | None = None,
-) -> list[WatchMoments]:
-    """Mass and first two ad-count integrals of every watch segment,
-    each from one quadrature pass. Demand and the pooled and per-class
-    ad stats at reward w all derive from these."""
-    out: list[WatchMoments] = []
-    for lo, hi, subscribes in watch_segments(params, w, scheme, thr):
-        seg_mass = mass(params.dist, lo, hi)
-        if seg_mass <= 0.0:
-            continue  # outside the density's support: nobody watches there
-        xfun = x_watch_subscriber if subscribes else x_watch_alone
+    params: MarketParams, part: Thresholds
+) -> tuple[WatchMoments, WatchMoments]:
+    """Moments of the subscribers' and of the non-subscribers' watch
+    segments of the partition. Demand and the pooled and per-class ad
+    stats derive from these."""
+    return (
+        _segment_moments(params, part.w, *part.sub_watch, x_watch_subscriber),
+        _segment_moments(params, part.w, *part.alone_watch, x_watch_alone),
+    )
 
-        def x_and_x2(theta):
-            x = xfun(params, theta, w)
-            return np.array((x, x * x))
 
-        ex, ex2 = integrate(params.dist, x_and_x2, lo, hi).tolist()
-        out.append(WatchMoments(subscribes, seg_mass, ex, ex2))
-    return out
+def _stats(
+    params: MarketParams, pool: WatchMoments, user_class: UserClass = UserClass.ALL
+) -> AdMarketStats:
+    """Watcher mass and ad-count moments of one pool of watchers."""
+    if isinstance(pool.mass, np.ndarray):
+        watched = pool.mass > 0.0
+        denom = np.where(watched, pool.mass, 1.0)
+        return AdMarketStats(
+            n_ad=np.where(watched, params.N * pool.mass, 0.0),
+            ey=np.where(watched, pool.ex / denom, 0.0),
+            ey2=np.where(watched, pool.ex2 / denom, 0.0),
+            user_class=user_class,
+        )
+    if pool.mass <= 0.0:
+        return AdMarketStats(0.0, 0.0, 0.0, user_class)
+    return AdMarketStats(
+        n_ad=params.N * pool.mass,
+        ey=pool.ex / pool.mass,
+        ey2=pool.ex2 / pool.mass,
+        user_class=user_class,
+    )
 
 
 def ad_stats(
@@ -123,50 +125,18 @@ def ad_stats(
     w: float,
     scheme: Scheme,
     user_class: UserClass = UserClass.ALL,
-    thr: Thresholds | None = None,
-    moments: list[WatchMoments] | None = None,
 ) -> AdMarketStats:
-    """Watcher mass and moments of ads-per-watcher at reward w.
-
-    `moments` (from `watch_moments` at the same w) skips recomputing
-    the segment integrals.
-    """
+    """Watcher mass and moments of ads-per-watcher at reward w."""
     if user_class is not UserClass.ALL and scheme is not Scheme.SURD:
         raise DomainError("per-class stats only apply to the differentiated scheme")
-    if moments is None:
-        moments = watch_moments(params, w, scheme, thr)
-    if user_class is not UserClass.ALL:
-        subscribers = user_class is UserClass.SUBSCRIBERS
-        moments = [m for m in moments if m.subscribes is subscribers]
-    total_mass = sum(m.mass for m in moments)
-    if total_mass <= 0.0:
-        return AdMarketStats(0.0, 0.0, 0.0, user_class)
-    return AdMarketStats(
-        n_ad=params.N * total_mass,
-        ey=sum(m.ex for m in moments) / total_mass,
-        ey2=sum(m.ex2 for m in moments) / total_mass,
-        user_class=user_class,
-    )
-
-
-def grid_stats(
-    params: MarketParams, seg_mass: np.ndarray, ex: np.ndarray, ex2: np.ndarray
-) -> AdMarketStats:
-    """`ad_stats` at many rewards at once, from the summed mass, int x g
-    and int x^2 g of the watch segments of each pool: an AdMarketStats
-    whose fields are arrays."""
-    watched = seg_mass > 0.0
-    denom = np.where(watched, seg_mass, 1.0)
-    return AdMarketStats(
-        n_ad=np.where(watched, params.N * seg_mass, 0.0),
-        ey=np.where(watched, ex / denom, 0.0),
-        ey2=np.where(watched, ex2 / denom, 0.0),
-    )
+    sub, alone = watch_moments(params, thresholds(params, w, scheme is Scheme.SAR))
+    pool = {UserClass.SUBSCRIBERS: sub, UserClass.NON_SUBSCRIBERS: alone}
+    return _stats(params, pool.get(user_class, sub + alone), user_class)
 
 
 def advertiser_best_response(stats: AdMarketStats, params: MarketParams, p):
     """Slots one advertiser buys at price p (vertex of its quadratic
-    payoff); elementwise for the array fields of `grid_stats`."""
+    payoff); elementwise for array fields."""
     if isinstance(stats.n_ad, np.ndarray):
         buys = (stats.n_ad > 0.0) & (p < params.B) & (stats.ey2 > 0.0)
         ey2 = np.where(buys, stats.ey2, 1.0)
@@ -179,7 +149,7 @@ def advertiser_best_response(stats: AdMarketStats, params: MarketParams, p):
 
 def optimal_price(stats: AdMarketStats, params: MarketParams):
     """Revenue-maximizing slot price for the given watcher pool;
-    elementwise for the array fields of `grid_stats`.
+    elementwise for array fields.
 
     With no watchers any positive price yields zero revenue; B/2 is
     returned so outputs stay deterministic.
@@ -201,7 +171,8 @@ def optimal_price(stats: AdMarketStats, params: MarketParams):
 
 @dataclass(frozen=True)
 class AdSideOutcome:
-    """Ad revenue at the operator's optimal price(s) for one reward level."""
+    """Ad revenue at the operator's optimal price(s) for one reward level;
+    elementwise arrays at an array of rewards, NaN for an absent price."""
 
     revenue: float
     p_star: float | None  # pooled price (aware/unaware schemes)
@@ -211,40 +182,50 @@ class AdSideOutcome:
 
 def pool_revenue(stats: AdMarketStats, params: MarketParams):
     """Ad revenue of one watcher pool at its optimal price, and that
-    price; elementwise for the array fields of `grid_stats`."""
+    price; elementwise for array fields."""
     p = optimal_price(stats, params)
     m = advertiser_best_response(stats, params, p)
     return params.K * m * p, p
 
 
-def ad_side(
+def ad_sides(
     params: MarketParams,
-    w: float,
+    part: Thresholds,
+    moments: tuple[WatchMoments, WatchMoments],
     scheme: Scheme,
-    thr: Thresholds | None = None,
-    moments: list[WatchMoments] | None = None,
-) -> AdSideOutcome:
-    """Optimal slot pricing and resulting ad revenue at reward w.
+) -> tuple[AdSideOutcome, AdSideOutcome | None]:
+    """Optimal slot pricing at the reward(s) of the partition, from its
+    `watch_moments`: the pooled ad side and, under the unaware schemes,
+    the differentiated one (None under SAR).
 
     The differentiated scheme prices subscriber and non-subscriber
-    slots separately whenever both watcher classes exist (the two
-    pricing problems have the same structure as the pooled one); with a
-    single watcher class it coincides with the unaware scheme.
+    slots separately whenever both watcher classes exist, in case C^
+    (the two pricing problems have the same structure as the pooled
+    one); elsewhere it coincides with the pooled scheme.
     """
-    if thr is None:
-        thr = thresholds(params, w, _aware(scheme))
-    if moments is None:
-        moments = watch_moments(params, w, scheme, thr)
-    if scheme is Scheme.SURD and thr.case is SurCase.C:
-        rev_i, p_i = pool_revenue(
-            ad_stats(params, w, scheme, UserClass.SUBSCRIBERS, moments=moments),
-            params,
-        )
-        rev_ii, p_ii = pool_revenue(
-            ad_stats(params, w, scheme, UserClass.NON_SUBSCRIBERS, moments=moments),
-            params,
-        )
-        return AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
-    stats = ad_stats(params, w, scheme, UserClass.ALL, moments=moments)
-    rev, p = pool_revenue(stats, params)
-    return AdSideOutcome(rev, p, None, None)
+    sub, alone = moments
+    rev, p = pool_revenue(_stats(params, sub + alone), params)
+    pooled = AdSideOutcome(rev, p, None, None)
+    if scheme is Scheme.SAR:
+        return pooled, None
+    array = isinstance(part.w, np.ndarray)
+    in_c = part.case == 2 if array else part.case is SurCase.C
+    if not (array or in_c):
+        return pooled, pooled
+    rev_i, p_i = pool_revenue(_stats(params, sub), params)
+    rev_ii, p_ii = pool_revenue(_stats(params, alone), params)
+    if not array:
+        return pooled, AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
+    return pooled, AdSideOutcome(
+        np.where(in_c, rev_i + rev_ii, rev),
+        np.where(in_c, math.nan, p),
+        np.where(in_c, p_i, math.nan),
+        np.where(in_c, p_ii, math.nan),
+    )
+
+
+def ad_side(params: MarketParams, w: float, scheme: Scheme) -> AdSideOutcome:
+    """Optimal slot pricing and resulting ad revenue at reward w."""
+    part = thresholds(params, w, scheme is Scheme.SAR)
+    pooled, split = ad_sides(params, part, watch_moments(params, part), scheme)
+    return split if scheme is Scheme.SURD else pooled

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,6 +106,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _capacity_records(
+    points: list[MarketParams], schemes: list[Scheme], config: SolverConfig
+) -> list[dict]:
+    """One solved record per market and scheme, led by its capacity."""
+    return [
+        {"C": point.C, **solve(point, scheme, config).to_record()}
+        for point in points
+        for scheme in schemes
+    ]
+
+
 def cmd_sweep(args) -> int:
     params = load_scenario(args.scenario)
     if not args.from_ < args.to:
@@ -117,18 +129,11 @@ def cmd_sweep(args) -> int:
         else list(SCHEME_ORDER)
     )
     schemes = [s for s in SCHEME_ORDER if s in schemes]
-    config = _config(args)
-    records = []
-    for c in np.linspace(args.from_, args.to, args.steps):
-        point = MarketParams(
-            N=params.N, F=params.F, Q=params.Q, phi=params.phi,
-            K=params.K, A=params.A, B=params.B, C=float(c),
-            utility=params.utility, dist=params.dist,
-        )
-        for scheme in schemes:
-            rec = {"C": float(c)}
-            rec.update(solve(point, scheme, config).to_record())
-            records.append(rec)
+    points = [
+        replace(params, C=float(c))
+        for c in np.linspace(args.from_, args.to, args.steps)
+    ]
+    records = _capacity_records(points, schemes, _config(args))
     emit_records(records, ["C"] + RECORD_FIELDS, args.format)
     return EXIT_OK
 
@@ -140,24 +145,13 @@ def cmd_reproduce(args) -> int:
             f"unknown figure id {args.figure!r}; choose from "
             + ", ".join(sorted(PRESETS))
         )
-    config = _config(args)
-    records = []
-    if preset.sweep_to is None:
-        params = preset.params()
-        for scheme in SCHEME_ORDER:
-            rec = {"C": params.C}
-            rec.update(solve(params, scheme, config).to_record())
-            records.append(rec)
-    else:
-        c_values = np.linspace(
-            preset.sweep_from(), preset.sweep_to, preset.sweep_steps
-        )
-        for c in c_values:
-            params = preset.params(float(c))
-            for scheme in SCHEME_ORDER:
-                rec = {"C": float(c)}
-                rec.update(solve(params, scheme, config).to_record())
-                records.append(rec)
+    points = [preset.params()]
+    if preset.sweep_to is not None:
+        points = [
+            replace(points[0], C=float(c))
+            for c in np.linspace(preset.sweep_from(), preset.sweep_to, preset.sweep_steps)
+        ]
+    records = _capacity_records(points, SCHEME_ORDER, _config(args))
     emit_records(records, ["C"] + RECORD_FIELDS, args.format)
     return EXIT_OK
 

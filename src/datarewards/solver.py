@@ -15,23 +15,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .admarket import (
-    AdSideOutcome,
-    Scheme,
-    WatchMoments,
-    ad_side,
-    ad_stats,
-    grid_stats,
-    pool_revenue,
-    watch_moments,
-)
+from .admarket import AdSideOutcome, Scheme, ad_sides, ad_stats, watch_moments
 from .errors import InternalConsistencyError, UnboundedSearchError
-from .model import CAPACITY_RTOL, MarketParams, integrate_segments, mass
+from .model import CAPACITY_RTOL, MarketParams, mass
 from .numerics import golden_max
 from .users import (
     SarCase,
@@ -41,16 +32,8 @@ from .users import (
     case_bound_b_sar,
     case_bound_b_sur,
     case_bound_d,
-    case_index,
     root_resolution,
-    solve_theta2,
-    solve_theta4,
-    theta0,
-    theta1,
-    theta3,
     thresholds,
-    x_watch_alone,
-    x_watch_subscriber,
 )
 
 
@@ -61,13 +44,22 @@ class SolverConfig:
 
     grid_points: int = 2000  # revenue grid per feasible interval
     scan_points: int = 600  # demand feasibility scan resolution
-    # refinement stops at a bracket narrower than golden_tol * max(|a|,
-    # |b|, 1): an absolute reward tolerance for rewards below 1
-    golden_tol: float = 1e-6
-    max_doublings: int = 60
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# Golden-section refinement stops at a bracket narrower than
+# GOLDEN_TOL * max(|a|, |b|, 1) (`numerics.golden_max`): an absolute
+# reward tolerance, since every preset's rewards lie below 1. Where
+# revenue is flat at an interior optimum, omega* is resolved less well
+# than that: on appK SAR (C = 2.15e7, capacity not binding) a root error
+# within `root_resolution`/2 moves r_total by about 1e-10 relative, and
+# golden section's comparisons with it, so omega* lands anywhere within
+# about 3e-5 relative of the optimum while r_total stays within about
+# 1e-10 of its value there.
+GOLDEN_TOL = 1e-6
+# doublings of a reward before a search for more demand gives up
+MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -119,190 +111,116 @@ class FeasibleRegion:
 
 
 # ---------------------------------------------------------------------------
-# Demand and data revenue
+# Stage II at one reward or at a reward array
 # ---------------------------------------------------------------------------
 
 
-def _subscriber_mass(params: MarketParams, thr: Thresholds) -> float:
-    """Type mass of the users who subscribe at the reward of thr."""
-    case = thr.case
-    if case is SurCase.D:
-        return 0.0
-    cutoff = thr.theta0
-    if case is SarCase.C:
-        cutoff = thr.theta2
-    elif case is SurCase.C:
-        cutoff = thr.theta4
-    return mass(params.dist, cutoff, params.dist.theta_max)
+def subscriber_mass(params: MarketParams, part: Thresholds):
+    """Type mass of the subscribers [cutoff, theta_max] of the partition.
+    At an array of rewards, those in cases A and B share the cutoff
+    theta0, whose mass is taken once."""
+    top = params.dist.theta_max
+    if not isinstance(part.w, np.ndarray):
+        return mass(params.dist, part.cutoff, top)
+    moved = part.cutoff != part.theta0
+    out = np.where(moved, 0.0, mass(params.dist, part.theta0, top))
+    out[moved] = mass(params.dist, part.cutoff[moved], top)
+    return out
 
 
-def demand(
-    params: MarketParams,
-    w: float,
-    scheme: Scheme,
-    thr: Thresholds | None = None,
-    moments: list[WatchMoments] | None = None,
-) -> float:
-    """Total data requested per month at reward w: the quota of every
-    subscriber plus the rewarded data of every watcher.
-
-    `thr` and `moments` (from `thresholds` and `watch_moments` at the
-    same w) skip recomputing them.
-    """
-    if thr is None:
-        thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    if moments is None:
-        moments = watch_moments(params, w, scheme, thr)
-    quota = params.N * params.Q * _subscriber_mass(params, thr)
-    return quota + params.N * w * sum(m.ex for m in moments)
+def _demand(params: MarketParams, part: Thresholds, sub_mass, moments):
+    """The quota of every subscriber plus the rewarded data of every
+    watcher."""
+    sub, alone = moments
+    return params.N * params.Q * sub_mass + params.N * part.w * (sub.ex + alone.ex)
 
 
-def data_revenue(
-    params: MarketParams,
-    w: float,
-    scheme: Scheme,
-    thr: Thresholds | None = None,
-) -> float:
+def demand(params: MarketParams, w: float, scheme: Scheme) -> float:
+    """Total data requested per month at reward w."""
+    part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
+    return _demand(params, part, subscriber_mass(params, part), watch_moments(params, part))
+
+
+def data_revenue(params: MarketParams, w: float, scheme: Scheme) -> float:
     """Subscription revenue at reward w: fee times subscriber mass."""
-    if thr is None:
-        thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    return params.N * params.F * _subscriber_mass(params, thr)
+    part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
+    return params.N * params.F * subscriber_mass(params, part)
 
-
-@dataclass(frozen=True)
-class PointEval:
-    """Everything the operator cares about at one reward level."""
-
-    w: float
-    case_label: str
-    demand: float
-    r_data: float
-    ad: AdSideOutcome
-
-    @property
-    def r_total(self) -> float:
-        return self.r_data + self.ad.revenue
-
-
-def evaluate_point(params: MarketParams, w: float, scheme: Scheme) -> PointEval:
-    thr = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    moments = watch_moments(params, w, scheme, thr)
-    d = demand(params, w, scheme, thr, moments)
-    rd = data_revenue(params, w, scheme, thr)
-    ad = ad_side(params, w, scheme, thr, moments)
-    return PointEval(w=w, case_label=thr.case.value, demand=d, r_data=rd, ad=ad)
-
-
-@dataclass(frozen=True)
-class _UnawarePoint:
-    pe_sur: PointEval
-    ad_surd: AdSideOutcome
-    theta4: float | None
-
-    @property
-    def r_total_sur(self) -> float:
-        return self.pe_sur.r_total
-
-    @property
-    def r_total_surd(self) -> float:
-        return self.pe_sur.r_data + self.ad_surd.revenue
-
-
-def _eval_unaware(params: MarketParams, w: float) -> _UnawarePoint:
-    """One reward level evaluated for both unaware schemes at once."""
-    thr = thresholds(params, w, scheme_aware=False)
-    moments = watch_moments(params, w, Scheme.SUR, thr)
-    d = demand(params, w, Scheme.SUR, thr, moments)
-    rd = data_revenue(params, w, Scheme.SUR, thr)
-    ad_sur = ad_side(params, w, Scheme.SUR, thr, moments)
-    if thr.case is SurCase.C:
-        ad_surd = ad_side(params, w, Scheme.SURD, thr, moments)
-    else:
-        ad_surd = ad_sur
-    pe = PointEval(
-        w=w, case_label=thr.case.value, demand=d, r_data=rd, ad=ad_sur
-    )
-    return _UnawarePoint(pe_sur=pe, ad_surd=ad_surd, theta4=thr.theta4)
-
-
-# ---------------------------------------------------------------------------
-# Stage II on a reward grid
-# ---------------------------------------------------------------------------
 
 _SAR_LABELS = np.array([c.value for c in SarCase])
 _SUR_LABELS = np.array([c.value for c in SurCase])
 
 
 @dataclass(frozen=True)
-class GridEval:
-    """Stage II at every reward of a grid, from `evaluate_grid`.
+class PointEval:
+    """Everything the operator cares about at one reward level, or at
+    every reward of an array (from `evaluate_grid`; the fields are then
+    arrays, and `entry` picks one).
 
-    Entry i holds what `evaluate_point` gives at w[i] for SAR or SUR;
-    for the unaware schemes also SURD's ad side, which prices the two
-    watcher classes apart in case C^ and is SUR's elsewhere. NaN marks
-    an absent value: theta4 outside case C^, a split price outside it.
+    `ad` is the scheme's ad side. Under the unaware schemes `ad_surd`
+    is SURD's, which prices the two watcher classes apart in case C^
+    and is SUR's elsewhere, so one evaluation serves SUR and SURD.
+    theta4 is None (NaN in arrays) outside case C^.
     """
 
-    w: np.ndarray
-    case: np.ndarray  # case labels
-    demand: np.ndarray
-    r_data: np.ndarray
-    theta4: np.ndarray
-    r_ad: np.ndarray
-    p_star: np.ndarray
-    r_ad_surd: np.ndarray | None = None
-    p_star_i: np.ndarray | None = None
-    p_star_ii: np.ndarray | None = None
+    w: float
+    case_label: str
+    demand: float
+    r_data: float
+    theta4: float | None
+    ad: AdSideOutcome
+    ad_surd: AdSideOutcome | None = None
 
     @property
-    def r_total(self) -> np.ndarray:
-        return self.r_data + self.r_ad
+    def r_total(self) -> float:
+        return self.r_data + self.ad.revenue
 
     @property
-    def r_total_surd(self) -> np.ndarray:
-        assert self.r_ad_surd is not None
-        return self.r_data + self.r_ad_surd
+    def r_total_surd(self) -> float:
+        assert self.ad_surd is not None
+        return self.r_data + self.ad_surd.revenue
 
-    def point(self, i: int) -> PointEval:
-        """Entry i as `evaluate_point` returns it (SAR or SUR)."""
+    def entry(self, i: int) -> PointEval:
+        """Entry i of an evaluation at a reward array."""
+
+        def value(values):
+            return None if values is None or math.isnan(values[i]) else float(values[i])
+
+        def side(ad):
+            return None if ad is None else AdSideOutcome(
+                *(value(v) for v in (ad.revenue, ad.p_star, ad.p_star_i, ad.p_star_ii))
+            )
+
         return PointEval(
-            w=float(self.w[i]), case_label=str(self.case[i]),
-            demand=float(self.demand[i]), r_data=float(self.r_data[i]),
-            ad=AdSideOutcome(float(self.r_ad[i]), float(self.p_star[i]), None, None),
+            w=value(self.w), case_label=str(self.case_label[i]),
+            demand=value(self.demand), r_data=value(self.r_data),
+            theta4=value(self.theta4), ad=side(self.ad), ad_surd=side(self.ad_surd),
         )
 
-    def unaware_point(self, i: int) -> _UnawarePoint:
-        """Entry i as `_eval_unaware` returns it."""
-        assert self.r_ad_surd is not None
-        assert self.p_star_i is not None and self.p_star_ii is not None
-        pe = self.point(i)
-        ad_surd = pe.ad
-        if pe.case_label == SurCase.C.value:
-            ad_surd = AdSideOutcome(
-                float(self.r_ad_surd[i]), None,
-                float(self.p_star_i[i]), float(self.p_star_ii[i]),
-            )
-        t4 = float(self.theta4[i])
-        return _UnawarePoint(pe, ad_surd, None if math.isnan(t4) else t4)
+
+def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
+    """Stage II at reward w: one root solve for the partition, one
+    quadrature pass per watch segment. An array w is evaluated in one
+    array pass (see `evaluate_grid`)."""
+    part = thresholds(params, w, scheme is Scheme.SAR)
+    moments = watch_moments(params, part)
+    sub_mass = subscriber_mass(params, part)
+    pooled, split = ad_sides(params, part, moments, scheme)
+    if isinstance(w, np.ndarray):
+        label = (_SAR_LABELS if scheme is Scheme.SAR else _SUR_LABELS)[part.case]
+    else:
+        label = part.case.value
+    return PointEval(
+        w=w, case_label=label,
+        demand=_demand(params, part, sub_mass, moments),
+        r_data=params.N * params.F * sub_mass, theta4=part.theta4,
+        ad=split if scheme is Scheme.SURD else pooled, ad_surd=split,
+    )
 
 
-def _moments(params: MarketParams, w: np.ndarray, lo, hi, xfun):
-    """Mass, int x g and int x^2 g of one watch segment [lo, hi] per
-    reward, with x = xfun; zero where the segment holds no mass."""
-    seg_mass = mass(params.dist, lo, hi)
-    hi = np.where(seg_mass > 0.0, hi, lo)
-
-    def x_and_x2(theta, seg):
-        x = xfun(params, theta, w[seg])
-        return np.array((x, x * x))
-
-    ex, ex2 = integrate_segments(params.dist, x_and_x2, lo, hi, 2)
-    return seg_mass, ex, ex2
-
-
-def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> GridEval:
+def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> PointEval:
     """`evaluate_point` at every reward of the array ws in one array
-    pass; under SUR or SURD, `_eval_unaware`, both unaware schemes.
+    pass.
 
     The rewards are classified at once, the case-C thresholds found
     together by `newton_roots` (each reward takes the steps of its
@@ -311,68 +229,23 @@ def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> GridE
     the ad side priced elementwise. One reward is cheaper on the scalar
     path.
     """
-    w = np.asarray(ws, dtype=float)
-    aware = scheme is Scheme.SAR
-    # indices in SarCase and SurCase alike: A 0, B 1, C 2, D 3
-    case = case_index(params, w, aware)
-    in_c, in_d = case == 2, case == 3
-    theta_max = params.dist.theta_max
-    top = np.full(len(w), theta_max)
-    t1, t3 = theta1(params, w), theta3(params, w)
-    sub_lo = np.where((case == 1) | in_c, t1, top)  # subscribers watch on [sub_lo, top]
-    theta4 = np.full(len(w), math.nan)
-    # subscribers are [theta0, top] in cases A and B, [theta2 or theta4,
-    # top] in case C and nobody in case D^
-    sub_mass = np.where(in_d, 0.0, mass(params.dist, theta0(params), theta_max))
-    if in_c.any():
-        if aware:
-            cutoff = sub_lo[in_c] = solve_theta2(params, w[in_c])
-        else:
-            cutoff = theta4[in_c] = solve_theta4(params, w[in_c])
-        sub_mass[in_c] = mass(params.dist, cutoff, theta_max)
-    # non-subscribers watch on [theta3, min(theta4, theta_max)] in case
-    # C^ and on [theta3, theta_max] in case D^
-    alone = np.zeros(len(w), dtype=bool) if aware else in_c | in_d
-    alone_lo = np.where(alone, t3, 0.0)
-    alone_hi = np.where(alone, np.fmin(theta4, theta_max), 0.0)
-    m_sub, ex_sub, ex2_sub = _moments(params, w, sub_lo, top, x_watch_subscriber)
-    m_alone, ex_alone, ex2_alone = _moments(params, w, alone_lo, alone_hi, x_watch_alone)
-
-    ex = ex_alone + ex_sub
-    r_ad, p_star = pool_revenue(
-        grid_stats(params, m_alone + m_sub, ex, ex2_alone + ex2_sub), params
-    )
-    out = GridEval(
-        w=w, case=(_SAR_LABELS if aware else _SUR_LABELS)[case],
-        demand=params.N * params.Q * sub_mass + params.N * w * ex,
-        r_data=params.N * params.F * sub_mass,
-        theta4=theta4, r_ad=r_ad, p_star=p_star,
-    )
-    if aware:
-        return out
-    rev_i, p_i = pool_revenue(grid_stats(params, m_sub, ex_sub, ex2_sub), params)
-    rev_ii, p_ii = pool_revenue(grid_stats(params, m_alone, ex_alone, ex2_alone), params)
-    return replace(
-        out,
-        r_ad_surd=np.where(in_c, rev_i + rev_ii, r_ad),
-        p_star_i=np.where(in_c, p_i, math.nan),
-        p_star_ii=np.where(in_c, p_ii, math.nan),
-    )
+    return evaluate_point(params, np.asarray(ws, dtype=float), scheme)
 
 
 def _outcome(
     params: MarketParams, scheme: Scheme, pe: PointEval
 ) -> OperatorOutcome:
+    ad = pe.ad_surd if scheme is Scheme.SURD else pe.ad
     binding = abs(pe.demand - params.C) <= 1e-4 * params.C
     return OperatorOutcome(
         scheme=scheme,
         omega_star=pe.w,
-        p_star=pe.ad.p_star,
-        p_star_i=pe.ad.p_star_i,
-        p_star_ii=pe.ad.p_star_ii,
+        p_star=ad.p_star,
+        p_star_i=ad.p_star_i,
+        p_star_ii=ad.p_star_ii,
         r_data=pe.r_data,
-        r_ad=pe.ad.revenue,
-        r_total=pe.r_total,
+        r_ad=ad.revenue,
+        r_total=pe.r_data + ad.revenue,
         demand=pe.demand,
         case_label=pe.case_label,
         capacity_binding=binding,
@@ -384,11 +257,7 @@ def _outcome(
 # ---------------------------------------------------------------------------
 
 
-def demand_inverse(
-    params: MarketParams,
-    capacity: float | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
+def demand_inverse(params: MarketParams, capacity: float | None = None) -> float:
     """Reward at which aware-scheme demand exactly meets capacity.
 
     Demand is flat at its zero-reward level until the reward becomes
@@ -401,14 +270,14 @@ def demand_inverse(
     if c <= d_lo * (1.0 + 1e-12):
         return lo
     hi = lo
-    for _ in range(config.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         hi *= 2.0
         if demand(params, hi, Scheme.SAR) > c:
             break
     else:
         raise UnboundedSearchError(
             f"demand never reached capacity {c:.6g} after "
-            f"{config.max_doublings} doublings from {lo:.6g}"
+            f"{MAX_DOUBLINGS} doublings from {lo:.6g}"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -444,7 +313,7 @@ def solve_sar(
     the best cell; revenue is empirically unimodal, and the grid pass
     protects against surprises in any case.
     """
-    w_hi = demand_inverse(params, config=config)
+    w_hi = demand_inverse(params)
     breaks = [case_bound_a(params), case_bound_b_sar(params)]
     grid = _grid_with_breakpoints(0.0, w_hi, config.grid_points, breaks)
     evals = evaluate_grid(params, grid, Scheme.SAR)
@@ -452,7 +321,7 @@ def solve_sar(
 
     lo = float(grid[max(best_i - 1, 0)])
     hi = float(grid[min(best_i + 1, len(grid) - 1)])
-    best = evals.point(best_i)
+    best = evals.entry(best_i)
     if hi > lo:
         evaluated: dict[float, PointEval] = {}
 
@@ -460,9 +329,7 @@ def solve_sar(
             evaluated[w] = evaluate_point(params, w, Scheme.SAR)
             return evaluated[w]
 
-        w_ref, _ = golden_max(
-            lambda w: at(w).r_total, lo, hi, rel_tol=config.golden_tol,
-        )
+        w_ref, _ = golden_max(lambda w: at(w).r_total, lo, hi, rel_tol=GOLDEN_TOL)
         cand = evaluated[w_ref]
         if cand.r_total > best.r_total:
             best = cand
@@ -474,12 +341,12 @@ def solve_sar(
 # ---------------------------------------------------------------------------
 
 
-def _omega_cap(params: MarketParams, config: SolverConfig) -> float:
+def _omega_cap(params: MarketParams) -> float:
     """Upper end of the reward search: smallest power-of-two multiple
     of phi*Q/F whose demand exceeds twice the capacity."""
     q = case_bound_d(params)
     cap = q
-    for _ in range(config.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if demand(params, cap, Scheme.SUR) > 2.0 * params.C:
             return cap
         cap *= 2.0
@@ -494,7 +361,7 @@ def feasible_region(
     Scans demand on a dense grid, then sharpens every feasibility flip
     by bisection, keeping the feasible side of each boundary.
     """
-    cap = _omega_cap(params, config)
+    cap = _omega_cap(params)
     breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
     grid = _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
     demands = evaluate_grid(params, grid, Scheme.SUR).demand
@@ -594,22 +461,22 @@ def _solve_unaware_pair(
     pieces = _split_at_discontinuity(region.intervals, q)
     breaks = [case_bound_a(params), case_bound_b_sur(params)]
 
-    best_sur: _UnawarePoint | None = None
-    best_surd: _UnawarePoint | None = None
+    best_sur: PointEval | None = None
+    best_surd: PointEval | None = None
 
-    def consider(pt: _UnawarePoint) -> None:
+    def consider(pt: PointEval) -> None:
         nonlocal best_sur, best_surd
-        if best_sur is None or pt.r_total_sur > best_sur.r_total_sur:
+        if best_sur is None or pt.r_total > best_sur.r_total:
             best_sur = pt
         if best_surd is None or pt.r_total_surd > best_surd.r_total_surd:
             best_surd = pt
 
-    evaluated: dict[float, _UnawarePoint] = {}
+    evaluated: dict[float, PointEval] = {}
 
-    def at(w: float) -> _UnawarePoint:
+    def at(w: float) -> PointEval:
         # the SUR and SURD refinements of one cell share most rewards
         if w not in evaluated:
-            evaluated[w] = _eval_unaware(params, w)
+            evaluated[w] = evaluate_point(params, w, Scheme.SUR)
         return evaluated[w]
 
     grids = [
@@ -623,16 +490,16 @@ def _solve_unaware_pair(
         piece = slice(start, start + len(grid))
         _check_band_monotone(params, grid, evals.theta4[piece])
         for objective, values in (
-            (lambda e: e.r_total_sur, evals.r_total[piece]),
+            (lambda e: e.r_total, evals.r_total[piece]),
             (lambda e: e.r_total_surd, evals.r_total_surd[piece]),
         ):
             best_i = int(np.argmax(values))
-            consider(evals.unaware_point(start + best_i))
+            consider(evals.entry(start + best_i))
             lo = float(grid[max(best_i - 1, 0)])
             hi = float(grid[min(best_i + 1, len(grid) - 1)])
             if hi > lo:
                 w_ref, _ = golden_max(
-                    lambda w: objective(at(w)), lo, hi, rel_tol=config.golden_tol,
+                    lambda w: objective(at(w)), lo, hi, rel_tol=GOLDEN_TOL
                 )
                 consider(at(w_ref))
         start += len(grid)
@@ -640,18 +507,8 @@ def _solve_unaware_pair(
     assert best_sur is not None and best_surd is not None
     # The differentiated optimum must also dominate at the pooled
     # scheme's refined argmax; evaluate there explicitly.
-    consider(at(best_sur.pe_sur.w))
-
-    sur_outcome = _outcome(params, Scheme.SUR, best_sur.pe_sur)
-    surd_pe = PointEval(
-        w=best_surd.pe_sur.w,
-        case_label=best_surd.pe_sur.case_label,
-        demand=best_surd.pe_sur.demand,
-        r_data=best_surd.pe_sur.r_data,
-        ad=best_surd.ad_surd,
-    )
-    surd_outcome = _outcome(params, Scheme.SURD, surd_pe)
-    return sur_outcome, surd_outcome
+    consider(at(best_sur.w))
+    return _outcome(params, Scheme.SUR, best_sur), _outcome(params, Scheme.SURD, best_surd)
 
 
 def solve_sur(
@@ -684,9 +541,7 @@ def solve(
 
 
 def check_theorem2(
-    params: MarketParams,
-    omega_grid: np.ndarray | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
+    params: MarketParams, omega_grid: np.ndarray | None = None
 ) -> tuple[bool, float | None]:
     """Monotonicity of the two watcher aggregates that guarantee
     capacity exhaustion under the aware scheme.
@@ -696,7 +551,7 @@ def check_theorem2(
     """
     if omega_grid is None:
         lo = case_bound_a(params) * (1.0 + 1e-9)
-        hi = _omega_cap(params, config)
+        hi = _omega_cap(params)
         omega_grid = np.geomspace(lo, hi, 80)
     prev_a = prev_b = -math.inf
     for w in omega_grid:

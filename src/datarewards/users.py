@@ -22,8 +22,10 @@ and their violation raises InternalConsistencyError with diagnostics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +51,32 @@ class SurCase(Enum):
     D = "D^"  # rewards beat the data plan: nobody subscribes
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The thresholds at one reward, and the case they were solved for."""
+class Thresholds(NamedTuple):
+    """The population partition at a reward w: who subscribes and who
+    watches ads, on which valuation interval. (A NamedTuple: every
+    stage-II call builds one, and a frozen dataclass of ten fields takes
+    about 2 us longer to build.)
 
-    case: SarCase | SurCase
+    Users with theta >= cutoff subscribe (cutoff = inf: nobody does).
+    Subscribers watch on sub_watch = (lo, hi) and non-subscribers on
+    alone_watch; a segment with hi <= lo is empty. theta2 and theta4
+    are None outside the case that needs them.
+
+    For an array of rewards every field but theta0 is an array: case
+    holds the index of each reward's case in list(SarCase) or
+    list(SurCase), and an absent theta2 or theta4 is NaN.
+    """
+
+    w: float | np.ndarray
+    case: SarCase | SurCase | np.ndarray
     theta0: float
-    theta1: float
-    theta3: float
-    theta2: float | None = None
-    theta4: float | None = None
+    theta1: float | np.ndarray
+    theta3: float | np.ndarray
+    theta2: float | np.ndarray | None
+    theta4: float | np.ndarray | None
+    cutoff: float | np.ndarray
+    sub_watch: tuple
+    alone_watch: tuple
 
 
 @dataclass(frozen=True)
@@ -120,41 +138,44 @@ def case_bound_d(params: MarketParams) -> float:
     return params.phi * params.Q / params.F
 
 
+def case_bounds(params: MarketParams, scheme_aware: bool) -> tuple[float, ...]:
+    """Upper ends of the cases but the last, in ascending order: a
+    reward w lies in case i (A, B, C, D^ in turn) when exactly i bounds
+    lie below it.
+
+    MarketParams keeps them ordered: theta_max above u'(0)F/(u'(Q)u(Q))
+    puts case_bound_a below case_bound_b_sur, and theta0 below theta_max
+    puts it below case_bound_b_sar. Case D^ starts at phi Q/F itself, so
+    its bound is the float below. With u'(0) infinite every
+    non-subscriber with theta > 0 gains from watching at any positive
+    reward, so cases A^ and B^ hold no positive reward.
+    """
+    if scheme_aware:
+        return case_bound_a(params), case_bound_b_sar(params)
+    below_d = math.nextafter(case_bound_d(params), -math.inf)
+    if math.isinf(params.utility.u_prime_zero):
+        return 0.0, 0.0, below_d
+    return case_bound_a(params), case_bound_b_sur(params), below_d
+
+
+def case_index(params: MarketParams, w, scheme_aware: bool):
+    """The index of the case of w in list(SarCase) or list(SurCase),
+    the number of case bounds below w; elementwise when w is an array."""
+    bounds = case_bounds(params, scheme_aware)
+    if isinstance(w, np.ndarray):
+        return np.searchsorted(bounds, w)
+    return bisect_left(bounds, w)
+
+
+_SAR_CASES, _SUR_CASES = list(SarCase), list(SurCase)
+
+
 def classify_sar(params: MarketParams, w: float) -> SarCase:
-    if w <= case_bound_a(params):
-        return SarCase.A
-    if w <= case_bound_b_sar(params):
-        return SarCase.B
-    return SarCase.C
+    return _SAR_CASES[case_index(params, w, True)]
 
 
 def classify_sur(params: MarketParams, w: float) -> SurCase:
-    if w <= 0.0:
-        return SurCase.A
-    # With u'(0) infinite every non-subscriber with theta > 0 gains from
-    # watching at any positive reward, so case A^ (and B^) is empty.
-    if math.isinf(params.utility.u_prime_zero):
-        return SurCase.C if w < case_bound_d(params) else SurCase.D
-    if w <= case_bound_a(params):
-        return SurCase.A
-    if w <= case_bound_b_sur(params):
-        return SurCase.B
-    if w < case_bound_d(params):
-        return SurCase.C
-    return SurCase.D
-
-
-def case_index(params: MarketParams, w: np.ndarray, scheme_aware: bool) -> np.ndarray:
-    """The case of every reward in the array w, classified as
-    `classify_sar` / `classify_sur` do, as indices into list(SarCase)
-    or list(SurCase)."""
-    a = case_bound_a(params)
-    if scheme_aware:
-        return np.select([w <= a, w <= case_bound_b_sar(params)], [0, 1], 2)
-    d = case_bound_d(params)
-    if math.isinf(params.utility.u_prime_zero):
-        return np.select([w <= 0.0, w < d], [0, 2], 3)
-    return np.select([w <= a, w <= case_bound_b_sur(params), w < d], [0, 1, 2], 3)
+    return _SUR_CASES[case_index(params, w, False)]
 
 
 def _x_level(params: MarketParams, theta, w: float):
@@ -344,23 +365,6 @@ def solve_theta4(params: MarketParams, w):
     return root
 
 
-def thresholds(params: MarketParams, w: float, scheme_aware: bool) -> Thresholds:
-    """All thresholds relevant at reward w (aware or unaware scheme),
-    with the case of w: the one classification every stage-II quantity
-    at w reads."""
-    t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
-    t2 = t4 = None
-    if scheme_aware:
-        case = classify_sar(params, w)
-        if case is SarCase.C:
-            t2 = solve_theta2(params, w)
-    else:
-        case = classify_sur(params, w)
-        if case is SurCase.C:
-            t4 = solve_theta4(params, w)
-    return Thresholds(case=case, theta0=t0, theta1=t1, theta3=t3, theta2=t2, theta4=t4)
-
-
 def x_watch_subscriber(params: MarketParams, theta, w: float):
     """Ads watched by a subscriber with binding quota Q; theta may be
     a float or an array."""
@@ -375,45 +379,75 @@ def x_watch_alone(params: MarketParams, theta, w: float):
     return _x_level(params, theta, w) / w
 
 
+def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
+    """The population partition at reward w (aware or unaware scheme):
+    the case of w, the thresholds it needs, and the subscription cutoff
+    and the two watch segments they give. Every stage-II quantity at w
+    reads this one record.
+
+    w may be a float or an array of rewards, whose case-C roots are
+    then found together (`solve_theta2` / `solve_theta4`).
+    """
+    t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
+    top = params.dist.theta_max
+    if isinstance(w, np.ndarray):
+        case = case_index(params, w, scheme_aware)
+        in_c, in_d = case == 2, case == 3
+        # subscribers are [theta0, top] in cases A and B, [theta2 or
+        # theta4, top] in case C and nobody in case D^; they watch on
+        # [theta1, top] in cases B and C^, on [theta2, top] in case C
+        top = np.full(len(w), top)
+        cutoff = np.where(in_d, math.inf, t0)
+        sub_lo = np.where((case == 1) | in_c, t1, top)
+        t2, t4 = np.full(len(w), math.nan), np.full(len(w), math.nan)
+        if in_c.any():
+            if scheme_aware:
+                cutoff[in_c] = sub_lo[in_c] = t2[in_c] = solve_theta2(params, w[in_c])
+            else:
+                cutoff[in_c] = t4[in_c] = solve_theta4(params, w[in_c])
+        # non-subscribers watch on [theta3, min(theta4, top)] in case C^
+        # and on [theta3, top] in case D^
+        alone = np.zeros(len(w), dtype=bool) if scheme_aware else in_c | in_d
+        alone_watch = (np.where(alone, t3, 0.0), np.where(alone, np.fmin(t4, top), 0.0))
+        return Thresholds(w, case, t0, t1, t3, t2, t4, cutoff, (sub_lo, top), alone_watch)
+    t2 = t4 = None
+    cutoff, sub_lo, alone_watch = t0, top, (0.0, 0.0)
+    if scheme_aware:
+        case = classify_sar(params, w)
+        if case is SarCase.B:
+            sub_lo = t1
+        elif case is SarCase.C:
+            cutoff = sub_lo = t2 = solve_theta2(params, w)
+    else:
+        case = classify_sur(params, w)
+        if case is SurCase.B:
+            sub_lo = t1
+        elif case is SurCase.C:
+            cutoff = t4 = solve_theta4(params, w)
+            sub_lo, alone_watch = t1, (t3, min(t4, top))
+        elif case is SurCase.D:
+            cutoff, alone_watch = math.inf, (t3, top)
+    return Thresholds(w, case, t0, t1, t3, t2, t4, cutoff, (sub_lo, top), alone_watch)
+
+
+def _best_response(
+    params: MarketParams, theta: float, w: float, scheme_aware: bool
+) -> UserDecision:
+    part = thresholds(params, w, scheme_aware)
+    if theta >= part.cutoff:
+        lo, hi = part.sub_watch
+        x = x_watch_subscriber(params, theta, w) if lo < hi and theta >= lo else 0.0
+        return UserDecision(r=1, x=x)
+    lo, hi = part.alone_watch
+    x = x_watch_alone(params, theta, w) if lo < hi and theta >= lo else 0.0
+    return UserDecision(r=0, x=x)
+
+
 def best_response_sar(params: MarketParams, theta: float, w: float) -> UserDecision:
     """Optimal (r, x) under the aware scheme (watching requires r = 1)."""
-    case = classify_sar(params, w) if w > 0.0 else SarCase.A
-    if case is SarCase.A:
-        return UserDecision(r=int(theta >= theta0(params)), x=0.0)
-    if case is SarCase.B:
-        r = int(theta >= theta0(params))
-        x = 0.0
-        if r and theta >= theta1(params, w):
-            x = x_watch_subscriber(params, theta, w)
-        return UserDecision(r=r, x=x)
-    t2 = solve_theta2(params, w)
-    if theta >= t2:
-        return UserDecision(r=1, x=x_watch_subscriber(params, theta, w))
-    return UserDecision(r=0, x=0.0)
+    return _best_response(params, theta, w, True)
 
 
 def best_response_sur(params: MarketParams, theta: float, w: float) -> UserDecision:
     """Optimal (r, x) under the unaware scheme (anyone may watch)."""
-    case = classify_sur(params, w) if w > 0.0 else SurCase.A
-    if case is SurCase.A:
-        return UserDecision(r=int(theta >= theta0(params)), x=0.0)
-    if case is SurCase.B:
-        r = int(theta >= theta0(params))
-        x = 0.0
-        if r and theta >= theta1(params, w):
-            x = x_watch_subscriber(params, theta, w)
-        return UserDecision(r=r, x=x)
-    if case is SurCase.C:
-        t4 = solve_theta4(params, w)
-        if theta >= t4:
-            x = 0.0
-            if theta >= theta1(params, w):
-                x = x_watch_subscriber(params, theta, w)
-            return UserDecision(r=1, x=x)
-        if theta >= theta3(params, w) and theta > 0.0:
-            return UserDecision(r=0, x=x_watch_alone(params, theta, w))
-        return UserDecision(r=0, x=0.0)
-    # Case D: rewards dominate the plan outright.
-    if theta >= theta3(params, w) and theta > 0.0:
-        return UserDecision(r=0, x=x_watch_alone(params, theta, w))
-    return UserDecision(r=0, x=0.0)
+    return _best_response(params, theta, w, False)

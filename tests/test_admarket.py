@@ -15,9 +15,15 @@ from datarewards import (
     optimal_price,
     solve_theta2,
 )
-from datarewards.admarket import ZERO_STATS, watch_segments
+from datarewards.admarket import ZERO_STATS
 from datarewards.oracle import advertiser_payoff, oracle_adv_br
-from datarewards.users import case_bound_b_sar, case_bound_b_sur, case_bound_d, theta1
+from datarewards.users import (
+    case_bound_b_sar,
+    case_bound_b_sur,
+    case_bound_d,
+    theta1,
+    thresholds,
+)
 
 
 def _log_uniform(**over) -> MarketParams:
@@ -207,21 +213,35 @@ def test_differentiation_never_loses_revenue():
         assert rev_diff >= rev_pool * (1.0 - 1e-9)
 
 
+def _nonempty_segments(part) -> list[tuple[float, float]]:
+    """The partition's watch segments that hold types, non-subscribers'
+    first."""
+    return [(lo, hi) for lo, hi in (part.alone_watch, part.sub_watch) if hi > lo]
+
+
 def test_watch_segments_disjoint_and_ordered():
     p = _log_uniform()
     for w in np.linspace(1e-4, 1.5 * case_bound_d(p), 25):
         for scheme in (Scheme.SAR, Scheme.SUR):
-            segs = watch_segments(p, float(w), scheme)
-            for (lo, hi, _), (lo2, _, _) in zip(segs, segs[1:]):
+            part = thresholds(p, float(w), scheme_aware=scheme is Scheme.SAR)
+            segs = _nonempty_segments(part)
+            for (lo, hi), (lo2, _) in zip(segs, segs[1:]):
                 assert hi <= lo2
-            for lo, hi, _ in segs:
+            for lo, hi in segs:
                 assert 0.0 <= lo < hi <= 155.0
+            # non-subscribers watch below the subscription cutoff,
+            # subscribers at or above it
+            alone_lo, alone_hi = part.alone_watch
+            assert alone_hi <= alone_lo or alone_hi <= part.cutoff
+            sub_lo, sub_hi = part.sub_watch
+            assert sub_hi <= sub_lo or sub_lo >= part.cutoff
 
 
 def test_zero_reward_has_no_watchers():
     p = _log_uniform()
     for scheme in (Scheme.SAR, Scheme.SUR, Scheme.SURD):
-        assert watch_segments(p, 0.0, scheme) == []
+        part = thresholds(p, 0.0, scheme_aware=scheme is Scheme.SAR)
+        assert _nonempty_segments(part) == []
         assert ad_side(p, 0.0, scheme).revenue == 0.0
 
 

@@ -25,9 +25,13 @@ from datarewards import (
     params_to_dict,
     save_scenario,
 )
-from datarewards.admarket import watch_segments
 from datarewards.model import _normal_mass, integrate_segments, mass
-from datarewards.users import case_bound_d, x_watch_alone, x_watch_subscriber
+from datarewards.users import (
+    case_bound_d,
+    thresholds,
+    x_watch_alone,
+    x_watch_subscriber,
+)
 
 ALL_UTILITIES = [
     LogUtility(),
@@ -291,9 +295,15 @@ def _quad_reference(dist, f, lo, hi) -> float:
 
 
 def _segment_moments_match_quad(params, w, scheme) -> list:
-    segments = watch_segments(params, w, scheme)
-    for lo, hi, subscribes in segments:
-        xfun = x_watch_subscriber if subscribes else x_watch_alone
+    part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
+    segments = [
+        (lo, hi, xfun)
+        for (lo, hi), xfun in (
+            (part.alone_watch, x_watch_alone), (part.sub_watch, x_watch_subscriber)
+        )
+        if hi > lo
+    ]
+    for lo, hi, xfun in segments:
         for k in (1, 2):
             got = integrate(params.dist, lambda t: xfun(params, t, w) ** k, lo, hi)
             want = _quad_reference(
@@ -410,7 +420,7 @@ def test_segment_from_zero_matches_quad(alpha, dist):
                      dist=dist)
     for w_rel in (1e-3, 0.1, 0.5, 1.5):
         w = w_rel * case_bound_d(p)
-        assert watch_segments(p, w, Scheme.SUR)[0][0] == 0.0
+        assert thresholds(p, w, scheme_aware=False).alone_watch[0] == 0.0
         assert _segment_moments_match_quad(p, w, Scheme.SUR)
 
 

@@ -19,8 +19,11 @@ from datarewards import (
     SolverConfig,
     TruncatedNormalTypes,
     UniformTypes,
+    best_response_sar,
+    best_response_sur,
     check_theorem2,
     check_theorem3,
+    data_revenue,
     demand,
     demand_inverse,
     feasible_region,
@@ -31,12 +34,11 @@ from datarewards import (
     solve_surd,
     theorem5_limit,
 )
-from datarewards.admarket import watch_segments
 from datarewards.model import mass
+from datarewards.presets import PRESETS
 from datarewards.solver import (
     FeasibleRegion,
     _check_band_monotone,
-    _eval_unaware,
     evaluate_grid,
     evaluate_point,
 )
@@ -138,6 +140,58 @@ def test_demand_matches_segment_by_segment_integrals(fig5a_params):
     )
 
 
+def _best_response_integrals(p, w, scheme) -> tuple[float, float]:
+    """N times the integrals of r Q + w x and of r against g, with (r, x)
+    the per-type best response, piecewise between the thresholds (the
+    best response is smooth inside each piece)."""
+    br = best_response_sar if scheme is Scheme.SAR else best_response_sur
+    thr = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
+    top = p.dist.theta_max
+    cuts = (thr.theta0, thr.theta1, thr.theta2, thr.theta3, thr.theta4)
+    edges = sorted({0.0, top} | {t for t in cuts if t is not None and 0.0 < t < top})
+
+    def data_and_subscribed(theta):
+        decisions = [br(p, float(t), w) for t in theta]
+        return np.array([[d.r * p.Q + w * d.x for d in decisions],
+                         [d.r for d in decisions]])
+
+    total = sum(integrate(p.dist, data_and_subscribed, lo, hi)
+                for lo, hi in zip(edges, edges[1:]))
+    return p.N * total[0], p.N * total[1]
+
+
+_FAMILY_MARKETS = [
+    # every utility x type-distribution family, alpha-fair also with mu = 0
+    (name, mu0) for name in ("fig5a", "fig5b", "fig5c", "fig7a", "fig7b", "fig7c")
+    for mu0 in (False, True) if not mu0 or name in ("fig5b", "fig7b")
+]
+
+
+@pytest.mark.parametrize("name,mu0", _FAMILY_MARKETS)
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+def test_demand_and_data_revenue_integrate_best_responses(name, mu0, scheme):
+    p = PRESETS[name].params()
+    if mu0:
+        p = replace(p, utility=AlphaFairUtility(alpha=p.utility.alpha, mu=0.0))
+    q = case_bound_d(p)
+    bounds = [case_bound_a(p), case_bound_b_sar(p) if scheme is Scheme.SAR
+              else case_bound_b_sur(p), q]
+    ws = [0.0, q * (1.0 - 1e-9), 2.0 * q] + [
+        f * b for b in bounds if b > 0.0 for f in (0.3, 0.7, 1.0, 1.3)
+    ]
+    cases = set()
+    for w in ws:
+        thr = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
+        cases.add(thr.case)
+        want_demand, want_subscribed = _best_response_integrals(p, w, scheme)
+        assert demand(p, w, scheme) == pytest.approx(want_demand, rel=1e-12, abs=0.0)
+        assert data_revenue(p, w, scheme) == pytest.approx(
+            p.F * want_subscribed, rel=1e-12, abs=0.0
+        )
+    # every case is covered; with mu = 0 SUR has no case B^
+    assert len(cases) == (3 if scheme is Scheme.SAR else 4 - mu0)
+
+
 def _count_calls(monkeypatch, module, name, counter):
     orig = getattr(module, name)
 
@@ -157,19 +211,21 @@ def test_point_needs_one_root_solve_and_one_pass_per_segment(
         w, root = 1.3 * case_bound_b_sar(p), "solve_theta2"
     else:
         w, root = 0.5 * (case_bound_b_sur(p) + case_bound_d(p)), "solve_theta4"
-    n_segments = len(watch_segments(p, w, scheme))
+    part = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
+    n_segments = sum(hi > lo for lo, hi in (part.sub_watch, part.alone_watch))
     assert n_segments >= 1
     classify = "classify_sar" if scheme is Scheme.SAR else "classify_sur"
     calls: dict[str, int] = {}
     _count_calls(monkeypatch, users_mod, root, calls)
     _count_calls(monkeypatch, users_mod, classify, calls)
     _count_calls(monkeypatch, admarket_mod, "integrate", calls)
-    evaluate_point(p, w, scheme)
+    pe = evaluate_point(p, w, scheme)
     assert calls == {root: 1, classify: 1, "integrate": n_segments}
     if scheme is not Scheme.SAR:
-        calls.clear()
-        _eval_unaware(p, w)  # SUR and SURD together
-        assert calls == {root: 1, classify: 1, "integrate": n_segments}
+        # the same evaluation carries SUR's and SURD's ad sides
+        monkeypatch.undo()
+        assert pe.ad_surd == evaluate_point(p, w, Scheme.SURD).ad
+        assert pe.r_total_surd >= pe.r_total
 
 
 @pytest.mark.parametrize(
@@ -265,11 +321,7 @@ def test_grid_matches_point_path(u, dist, scheme, fee, w_rel):
     points, failing = [], []
     for w in ws:
         try:
-            if scheme is Scheme.SAR:
-                points.append((evaluate_point(p, float(w), scheme), None, None))
-            else:
-                pt = _eval_unaware(p, float(w))
-                points.append((pt.pe_sur, pt.ad_surd, pt.theta4))
+            points.append(evaluate_point(p, float(w), scheme))
         except InternalConsistencyError:
             failing.append(f"at w={w:.6g}")
     if failing:
@@ -279,19 +331,19 @@ def test_grid_matches_point_path(u, dist, scheme, fee, w_rel):
         assert any(where in str(err.value) for where in failing)
         return
     grid = evaluate_grid(p, ws, scheme)
-    for i, (w, (pe, ad_surd, theta4)) in enumerate(zip(ws, points)):
-        got_surd = None if scheme is Scheme.SAR else grid.unaware_point(i).ad_surd
-        got = grid.point(i)
+    for i, (w, pe) in enumerate(zip(ws, points)):
+        got = grid.entry(i)
         assert got.case_label == pe.case_label, (w, got.case_label, pe.case_label)
         assert _close(got.demand, pe.demand), (w, got.demand, pe.demand)
         assert _close(got.r_data, pe.r_data), (w, got.r_data, pe.r_data)
-        assert _close(None if math.isnan(grid.theta4[i]) else grid.theta4[i], theta4)
+        assert _close(got.theta4, pe.theta4), (w, got.theta4, pe.theta4)
         assert _close(got.ad.revenue, pe.ad.revenue), (w, got.ad, pe.ad)
         assert _close(got.ad.p_star, pe.ad.p_star), (w, got.ad, pe.ad)
-        if got_surd is not None:
+        assert (got.ad_surd is None) == (scheme is Scheme.SAR) == (pe.ad_surd is None)
+        if got.ad_surd is not None:
             for field in ("revenue", "p_star", "p_star_i", "p_star_ii"):
-                assert _close(getattr(got_surd, field), getattr(ad_surd, field)), (
-                    w, field, got_surd, ad_surd)
+                assert _close(getattr(got.ad_surd, field), getattr(pe.ad_surd, field)), (
+                    w, field, got.ad_surd, pe.ad_surd)
 
 
 def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
@@ -315,8 +367,8 @@ def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
     assert len(chunks) > 2
     assert max(chunks) <= model_mod._CHUNK_PANELS * 32
     for i in (0, 40, 90, 149):
-        want = _eval_unaware(p, float(ws[i])).pe_sur
-        assert grid.point(i).demand == pytest.approx(want.demand, rel=1e-12)
+        want = evaluate_point(p, float(ws[i]), Scheme.SUR)
+        assert grid.entry(i).demand == pytest.approx(want.demand, rel=1e-12)
 
 
 def test_array_root_names_the_first_failing_reward(fig5a_params):
@@ -503,12 +555,12 @@ def test_differentiated_prices_reported_when_split(fig5a_tight):
 
 
 def test_monotone_aggregates_hold_for_wide_uniform(fig5a_params):
-    holds, bad_w = check_theorem2(fig5a_params, config=FAST)
+    holds, bad_w = check_theorem2(fig5a_params)
     assert holds and bad_w is None
 
 
 def test_monotone_aggregates_fail_for_concentrated_types(appk_params):
-    holds, bad_w = check_theorem2(appk_params, config=FAST)
+    holds, bad_w = check_theorem2(appk_params)
     assert not holds
     assert 0.05 <= bad_w <= 0.5
 

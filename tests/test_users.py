@@ -97,6 +97,20 @@ def test_infinite_marginal_collapses_lower_thresholds():
     assert classify_sur(p, case_bound_d(p)) is SurCase.D
 
 
+def _case_by_definition(p, w: float, aware: bool):
+    """The case of w from the case definitions, bound by bound."""
+    a, d = case_bound_a(p), case_bound_d(p)
+    if aware:
+        return SarCase.A if w <= a else SarCase.B if w <= case_bound_b_sar(p) else SarCase.C
+    if w <= 0.0:
+        return SurCase.A
+    if math.isinf(p.utility.u_prime_zero):
+        return SurCase.C if w < d else SurCase.D
+    if w <= a:
+        return SurCase.A
+    return SurCase.B if w <= case_bound_b_sur(p) else SurCase.C if w < d else SurCase.D
+
+
 @pytest.mark.parametrize("utility", [LogUtility(), AlphaFairUtility(alpha=0.5, mu=0.0)])
 def test_case_index_matches_classify(utility):
     p = _mk(utility, UniformTypes(155.0))
@@ -107,6 +121,45 @@ def test_case_index_matches_classify(utility):
     for i, wi in enumerate(w):
         assert list(SarCase)[got_sar[i]] is classify_sar(p, float(wi))
         assert list(SurCase)[got_sur[i]] is classify_sur(p, float(wi))
+        assert classify_sar(p, float(wi)) is _case_by_definition(p, float(wi), True)
+        assert classify_sur(p, float(wi)) is _case_by_definition(p, float(wi), False)
+
+
+def _same(got, want, atol: float) -> bool:
+    """Entry of an array partition against the scalar field: NaN stands
+    for None, inf must match exactly."""
+    if want is None:
+        return math.isnan(got)
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= atol + 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("utility", [
+    LogUtility(), AlphaFairUtility(alpha=0.5, mu=0.0), ExpUtility(gamma=0.7)
+])
+@pytest.mark.parametrize("aware", [True, False])
+def test_array_partition_matches_scalar(utility, aware):
+    p = _mk(utility, TruncatedNormalTypes(mean=75.0, sd=40.0, lo=0.0, hi=150.0), F=10.0)
+    q = case_bound_d(p)
+    w = np.array([0.0, case_bound_a(p), case_bound_b_sar(p), case_bound_b_sur(p), q]
+                 + list(np.linspace(0.0, 3.0 * q, 61)[1:]))
+    part = thresholds(p, w, scheme_aware=aware)
+    # every case occurs; with u'(0) infinite SUR has no case B^
+    n_cases = 3 if aware else 3 if math.isinf(utility.u_prime_zero) else 4
+    assert len(set(part.case.tolist())) == n_cases
+    atol = root_resolution(p)
+    for i, wi in enumerate(w):
+        one = thresholds(p, float(wi), scheme_aware=aware)
+        assert list(SarCase if aware else SurCase)[part.case[i]] is one.case
+        assert part.theta0 == one.theta0
+        for field in ("theta1", "theta3", "theta2", "theta4", "cutoff"):
+            assert _same(getattr(part, field)[i], getattr(one, field), atol), (wi, field)
+        for seg in ("sub_watch", "alone_watch"):
+            (lo, hi), (lo1, hi1) = getattr(part, seg), getattr(one, seg)
+            assert (hi[i] > lo[i]) == (hi1 > lo1), (wi, seg)
+            if hi1 > lo1:
+                assert _same(lo[i], lo1, atol) and _same(hi[i], hi1, atol), (wi, seg)
 
 
 # alpha-fair mu = 0 (u'(0) infinite) markets of both type families
