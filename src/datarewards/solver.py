@@ -154,8 +154,8 @@ _SUR_LABELS = np.array([c.value for c in SurCase])
 @dataclass(frozen=True)
 class PointEval:
     """Everything the operator cares about at one reward level, or at
-    every reward of an array (from `evaluate_grid`; the fields are then
-    arrays, and `entry` picks one).
+    every reward of an array (from `evaluate_point` at an array; the
+    fields are then arrays, and `entry` picks one).
 
     `ad` is the scheme's ad side. Under the unaware schemes `ad_surd`
     is SURD's, which prices the two watcher classes apart in case C^
@@ -200,8 +200,15 @@ class PointEval:
 
 def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
     """Stage II at reward w: one root solve for the partition, one
-    quadrature pass per watch segment. An array w is evaluated in one
-    array pass (see `evaluate_grid`)."""
+    quadrature pass per watch segment.
+
+    An array w is evaluated in one array pass: the rewards are
+    classified at once, the case-C thresholds found together by
+    `newton_roots` (each reward takes the steps of its scalar root
+    solve), the watch segments' moments taken from one batched node
+    pass per kind of watcher (`integrate_segments`), and the ad side
+    priced elementwise. One reward is cheaper on the scalar path.
+    """
     part = thresholds(params, w, scheme is Scheme.SAR)
     moments = watch_moments(params, part)
     sub_mass = subscriber_mass(params, part)
@@ -216,20 +223,6 @@ def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
         r_data=params.N * params.F * sub_mass, theta4=part.theta4,
         ad=split if scheme is Scheme.SURD else pooled, ad_surd=split,
     )
-
-
-def evaluate_grid(params: MarketParams, ws: np.ndarray, scheme: Scheme) -> PointEval:
-    """`evaluate_point` at every reward of the array ws in one array
-    pass.
-
-    The rewards are classified at once, the case-C thresholds found
-    together by `newton_roots` (each reward takes the steps of its
-    scalar root solve), the watch segments' moments taken from one
-    batched node pass per kind of watcher (`integrate_segments`), and
-    the ad side priced elementwise. One reward is cheaper on the scalar
-    path.
-    """
-    return evaluate_point(params, np.asarray(ws, dtype=float), scheme)
 
 
 def _outcome(
@@ -316,7 +309,7 @@ def solve_sar(
     w_hi = demand_inverse(params)
     breaks = [case_bound_a(params), case_bound_b_sar(params)]
     grid = _grid_with_breakpoints(0.0, w_hi, config.grid_points, breaks)
-    evals = evaluate_grid(params, grid, Scheme.SAR)
+    evals = evaluate_point(params, grid, Scheme.SAR)
     best_i = int(np.argmax(evals.r_total))
 
     lo = float(grid[max(best_i - 1, 0)])
@@ -364,7 +357,7 @@ def feasible_region(
     cap = _omega_cap(params)
     breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
     grid = _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
-    demands = evaluate_grid(params, grid, Scheme.SUR).demand
+    demands = evaluate_point(params, grid, Scheme.SUR).demand
     # the zero reward is feasible within the tolerance MarketParams
     # grants the capacity below D(0)
     if demands[0] * (1.0 - CAPACITY_RTOL) > params.C:
@@ -484,7 +477,7 @@ def _solve_unaware_pair(
         if b > a else np.array([a])
         for a, b in pieces if b >= a
     ]
-    evals = evaluate_grid(params, np.concatenate(grids), Scheme.SUR)
+    evals = evaluate_point(params, np.concatenate(grids), Scheme.SUR)
     start = 0
     for grid in grids:
         piece = slice(start, start + len(grid))

@@ -379,55 +379,60 @@ def x_watch_alone(params: MarketParams, theta, w: float):
     return _x_level(params, theta, w) / w
 
 
+def _case_rules(t0, t1, t3, root, top, scheme_aware: bool) -> tuple:
+    """(cutoff, subscriber watch start, non-subscriber watch start and
+    end) in each case, in the order of list(SarCase) or list(SurCase).
+    root is the case-C threshold, theta2 (aware) or theta4 (unaware),
+    NaN where absent; each entry is a float or an array of one value
+    per reward."""
+    # A: [theta0, top] subscribe, nobody watches; B: subscribers above
+    # theta1 watch; an empty non-subscriber segment is (0, 0)
+    a, b = (t0, top, 0.0, 0.0), (t0, t1, 0.0, 0.0)
+    if scheme_aware:
+        # C: exactly those above theta2 subscribe, and all of them watch
+        return a, b, (root, root, 0.0, 0.0)
+    band_top = np.fmin(root, top) if isinstance(root, np.ndarray) else min(root, top)
+    # C^: [theta4, top] subscribe and non-subscribers watch on
+    # [theta3, theta4]; D^: nobody subscribes, all above theta3 watch
+    return a, b, (root, t1, t3, band_top), (math.inf, top, t3, top)
+
+
 def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
     """The population partition at reward w (aware or unaware scheme):
     the case of w, the thresholds it needs, and the subscription cutoff
-    and the two watch segments they give. Every stage-II quantity at w
-    reads this one record.
+    and the two watch segments they give (`_case_rules`). Every
+    stage-II quantity at w reads this one record.
 
     w may be a float or an array of rewards, whose case-C roots are
     then found together (`solve_theta2` / `solve_theta4`).
     """
     t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
     top = params.dist.theta_max
+    solve_root = solve_theta2 if scheme_aware else solve_theta4
+    case = case_index(params, w, scheme_aware)
     if isinstance(w, np.ndarray):
-        case = case_index(params, w, scheme_aware)
-        in_c, in_d = case == 2, case == 3
-        # subscribers are [theta0, top] in cases A and B, [theta2 or
-        # theta4, top] in case C and nobody in case D^; they watch on
-        # [theta1, top] in cases B and C^, on [theta2, top] in case C
         top = np.full(len(w), top)
-        cutoff = np.where(in_d, math.inf, t0)
-        sub_lo = np.where((case == 1) | in_c, t1, top)
-        t2, t4 = np.full(len(w), math.nan), np.full(len(w), math.nan)
+        root = np.full(len(w), math.nan)
+        in_c = case == 2
         if in_c.any():
-            if scheme_aware:
-                cutoff[in_c] = sub_lo[in_c] = t2[in_c] = solve_theta2(params, w[in_c])
-            else:
-                cutoff[in_c] = t4[in_c] = solve_theta4(params, w[in_c])
-        # non-subscribers watch on [theta3, min(theta4, top)] in case C^
-        # and on [theta3, top] in case D^
-        alone = np.zeros(len(w), dtype=bool) if scheme_aware else in_c | in_d
-        alone_watch = (np.where(alone, t3, 0.0), np.where(alone, np.fmin(t4, top), 0.0))
-        return Thresholds(w, case, t0, t1, t3, t2, t4, cutoff, (sub_lo, top), alone_watch)
-    t2 = t4 = None
-    cutoff, sub_lo, alone_watch = t0, top, (0.0, 0.0)
-    if scheme_aware:
-        case = classify_sar(params, w)
-        if case is SarCase.B:
-            sub_lo = t1
-        elif case is SarCase.C:
-            cutoff = sub_lo = t2 = solve_theta2(params, w)
+            root[in_c] = solve_root(params, w[in_c])
+        cutoff, sub_lo, alone_lo, alone_hi = (
+            np.choose(case, rule)
+            for rule in zip(*_case_rules(t0, t1, t3, root, top, scheme_aware))
+        )
+        absent = np.full(len(w), math.nan)
+        t2, t4 = (root, absent) if scheme_aware else (absent, root)
     else:
-        case = classify_sur(params, w)
-        if case is SurCase.B:
-            sub_lo = t1
-        elif case is SurCase.C:
-            cutoff = t4 = solve_theta4(params, w)
-            sub_lo, alone_watch = t1, (t3, min(t4, top))
-        elif case is SurCase.D:
-            cutoff, alone_watch = math.inf, (t3, top)
-    return Thresholds(w, case, t0, t1, t3, t2, t4, cutoff, (sub_lo, top), alone_watch)
+        root = solve_root(params, w) if case == 2 else math.nan
+        cutoff, sub_lo, alone_lo, alone_hi = _case_rules(
+            t0, t1, t3, root, top, scheme_aware
+        )[case]
+        root = root if case == 2 else None
+        t2, t4 = (root, None) if scheme_aware else (None, root)
+        case = (_SAR_CASES if scheme_aware else _SUR_CASES)[case]
+    return Thresholds(
+        w, case, t0, t1, t3, t2, t4, cutoff, (sub_lo, top), (alone_lo, alone_hi)
+    )
 
 
 def _best_response(

@@ -39,7 +39,6 @@ from datarewards.presets import PRESETS
 from datarewards.solver import (
     FeasibleRegion,
     _check_band_monotone,
-    evaluate_grid,
     evaluate_point,
 )
 from datarewards.users import (
@@ -214,13 +213,12 @@ def test_point_needs_one_root_solve_and_one_pass_per_segment(
     part = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
     n_segments = sum(hi > lo for lo, hi in (part.sub_watch, part.alone_watch))
     assert n_segments >= 1
-    classify = "classify_sar" if scheme is Scheme.SAR else "classify_sur"
     calls: dict[str, int] = {}
     _count_calls(monkeypatch, users_mod, root, calls)
-    _count_calls(monkeypatch, users_mod, classify, calls)
+    _count_calls(monkeypatch, users_mod, "case_index", calls)
     _count_calls(monkeypatch, admarket_mod, "integrate", calls)
     pe = evaluate_point(p, w, scheme)
-    assert calls == {root: 1, classify: 1, "integrate": n_segments}
+    assert calls == {root: 1, "case_index": 1, "integrate": n_segments}
     if scheme is not Scheme.SAR:
         # the same evaluation carries SUR's and SURD's ad sides
         monkeypatch.undo()
@@ -327,10 +325,10 @@ def test_grid_matches_point_path(u, dist, scheme, fee, w_rel):
     if failing:
         # a structural check fails at some reward on both paths
         with pytest.raises(InternalConsistencyError) as err:
-            evaluate_grid(p, ws, scheme)
+            evaluate_point(p, ws, scheme)
         assert any(where in str(err.value) for where in failing)
         return
-    grid = evaluate_grid(p, ws, scheme)
+    grid = evaluate_point(p, ws, scheme)
     for i, (w, pe) in enumerate(zip(ws, points)):
         got = grid.entry(i)
         assert got.case_label == pe.case_label, (w, got.case_label, pe.case_label)
@@ -362,7 +360,7 @@ def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
         return pdf(theta)
 
     monkeypatch.setattr(TruncatedNormalTypes, "pdf", lambda self, t: counted_pdf(t))
-    grid = evaluate_grid(p, ws, Scheme.SUR)
+    grid = evaluate_point(p, ws, Scheme.SUR)
     monkeypatch.undo()
     assert len(chunks) > 2
     assert max(chunks) <= model_mod._CHUNK_PANELS * 32
