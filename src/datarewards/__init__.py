@@ -60,6 +60,7 @@ from .solver import (
     evaluate_point,
     feasible_region,
     solve,
+    solve_capacities,
     solve_sar,
     solve_sur,
     solve_surd,

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
     solve,
+    solve_capacities,
 )
 from .users import (
     best_response_sar,
@@ -107,13 +107,16 @@ def cmd_solve(args) -> int:
 
 
 def _capacity_records(
-    points: list[MarketParams], schemes: list[Scheme], config: SolverConfig
+    params: MarketParams, capacities: list[float], schemes: list[Scheme],
+    config: SolverConfig,
 ) -> list[dict]:
-    """One solved record per market and scheme, led by its capacity."""
+    """One solved record per capacity and scheme, led by its capacity,
+    from one engine call for the market."""
+    solved = solve_capacities(params, capacities, schemes, config)
     return [
-        {"C": point.C, **solve(point, scheme, config).to_record()}
-        for point in points
-        for scheme in schemes
+        {"C": c, **outcome.to_record()}
+        for c, outcomes in zip(capacities, solved)
+        for outcome in outcomes
     ]
 
 
@@ -129,11 +132,8 @@ def cmd_sweep(args) -> int:
         else list(SCHEME_ORDER)
     )
     schemes = [s for s in SCHEME_ORDER if s in schemes]
-    points = [
-        replace(params, C=float(c))
-        for c in np.linspace(args.from_, args.to, args.steps)
-    ]
-    records = _capacity_records(points, schemes, _config(args))
+    capacities = [float(c) for c in np.linspace(args.from_, args.to, args.steps)]
+    records = _capacity_records(params, capacities, schemes, _config(args))
     emit_records(records, ["C"] + RECORD_FIELDS, args.format)
     return EXIT_OK
 
@@ -145,13 +145,14 @@ def cmd_reproduce(args) -> int:
             f"unknown figure id {args.figure!r}; choose from "
             + ", ".join(sorted(PRESETS))
         )
-    points = [preset.params()]
+    params = preset.params()
+    capacities = [params.C]
     if preset.sweep_to is not None:
-        points = [
-            replace(points[0], C=float(c))
+        capacities = [
+            float(c)
             for c in np.linspace(preset.sweep_from(), preset.sweep_to, preset.sweep_steps)
         ]
-    records = _capacity_records(points, SCHEME_ORDER, _config(args))
+    records = _capacity_records(params, capacities, SCHEME_ORDER, _config(args))
     emit_records(records, ["C"] + RECORD_FIELDS, args.format)
     return EXIT_OK
 
@@ -240,8 +241,9 @@ def _verify_price(params: MarketParams) -> tuple[bool, str]:
 
 def _verify_dominance(params: MarketParams) -> tuple[bool, str]:
     config = SolverConfig(grid_points=250, scan_points=200)
-    pooled = solve(params, Scheme.SUR, config)
-    split = solve(params, Scheme.SURD, config)
+    pooled, split = solve_capacities(
+        params, [params.C], (Scheme.SUR, Scheme.SURD), config
+    )[0]
     ok = split.r_total >= pooled.r_total * (1.0 - 1e-6)
     return ok, (
         f"differentiated {split.r_total:.6g} vs pooled {pooled.r_total:.6g}"

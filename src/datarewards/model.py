@@ -480,7 +480,8 @@ def integrate_segments(
     Returns the (rows, len(lo)) integrals; an empty segment gives 0.0.
     Nodes are made and evaluated at most _CHUNK_PANELS panels at a
     time, so memory stays bounded however many panels a narrow density
-    needs.
+    needs. A segment's integral is bit for bit the same whatever other
+    segments share the call.
     """
     a, b, n = dist.panel_layout(lo, hi)
     # edge i of the density's equal panels of segment s, as panel_edges
@@ -515,18 +516,20 @@ def integrate_segments(
         e1_seg / _GRADING_POWERS[np.clip(-j, 0, 11)],
     )
 
-    out = np.zeros((rows, len(a)))
+    panel = np.empty((rows, len(seg)))
     for start in range(0, len(seg), _CHUNK_PANELS):
         part = slice(start, start + _CHUNK_PANELS)
-        lft, width, s = left[part, None], (right - left)[part, None], seg[part]
+        lft, width = left[part, None], (right - left)[part, None]
         mapped = lft < 0.1 * width
         theta = (lft + width * np.where(mapped, _GL_S2, _GL_S)).ravel()
         weights = (width * np.where(mapped, _GL_V2, _GL_V)).ravel()
-        nodes_seg = np.repeat(s, len(_GL_S))
+        nodes_seg = np.repeat(seg[part], len(_GL_S))
         values = np.multiply(f(theta, nodes_seg), dist.pdf(theta)) * weights
-        panel = values.reshape(rows, -1, len(_GL_S)).sum(axis=2)
-        for r in range(rows):
-            out[r] += np.bincount(s, weights=panel[r], minlength=len(a))
+        panel[:, part] = values.reshape(rows, -1, len(_GL_S)).sum(axis=2)
+    # each segment sums its panels in order in one pass, wherever the
+    # chunks cut: a segment's integral does not depend on the others
+    out = np.stack([np.bincount(seg, weights=panel[r], minlength=len(a))
+                    for r in range(rows)])
     bad = ~np.isfinite(out).all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))

@@ -9,14 +9,25 @@ the interval endpoints, and optimizes revenue per interval with a
 dense grid followed by golden-section refinement. Revenue is
 discontinuous at the reward level phi*Q/F where subscribing stops
 paying at all, so that point always splits intervals.
+
+`solve_capacities` is the one stage-I path (`solve` is its call at one
+capacity). Over a block of capacities it makes one array call of
+`evaluate_point` per phase (aware grids, unaware scans, unaware piece
+grids, each pass at most `_PASS_REWARDS` rewards); inversion, bisection
+and refinement stay per capacity, sharing a memo of scalar demand and
+stage II, which do not depend on C. The outcomes equal those of solving
+each capacity alone, bit for bit: every decision is the per-capacity
+one, and an array evaluation gives every reward the same bits however
+the rewards are batched.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -186,15 +197,24 @@ class PointEval:
         def value(values):
             return None if values is None or math.isnan(values[i]) else float(values[i])
 
+        return self._map(value, str(self.case_label[i]))
+
+    def part(self, rows: slice) -> PointEval:
+        """Entries `rows` of an evaluation at a reward array, as one."""
+        return self._map(lambda v: None if v is None else v[rows], self.case_label[rows])
+
+    def _map(self, fn, case_label) -> PointEval:
+        """This evaluation with fn applied to every numeric field."""
+
         def side(ad):
             return None if ad is None else AdSideOutcome(
-                *(value(v) for v in (ad.revenue, ad.p_star, ad.p_star_i, ad.p_star_ii))
+                *(fn(v) for v in (ad.revenue, ad.p_star, ad.p_star_i, ad.p_star_ii))
             )
 
         return PointEval(
-            w=value(self.w), case_label=str(self.case_label[i]),
-            demand=value(self.demand), r_data=value(self.r_data),
-            theta4=value(self.theta4), ad=side(self.ad), ad_surd=side(self.ad_surd),
+            w=fn(self.w), case_label=case_label,
+            demand=fn(self.demand), r_data=fn(self.r_data),
+            theta4=fn(self.theta4), ad=side(self.ad), ad_surd=side(self.ad_surd),
         )
 
 
@@ -246,8 +266,71 @@ def _outcome(
 
 
 # ---------------------------------------------------------------------------
-# Demand inversion (aware scheme)
+# Shared stage II of a block of capacities
 # ---------------------------------------------------------------------------
+
+# rewards that one array pass of `solve_capacities` holds at most; a
+# grid longer than that is a pass of its own
+_PASS_REWARDS = 1 << 14
+
+
+def _demand_at(params: MarketParams, scheme: Scheme):
+    """Scalar demand of the scheme's family, memoized by reward. Demand
+    does not depend on the capacity, so a block's capacities share it."""
+    return cache(lambda w: demand(params, w, scheme))
+
+
+def _evaluate_grids(
+    params: MarketParams, grids: list[np.ndarray], scheme: Scheme
+) -> list[PointEval]:
+    """`evaluate_point` at each grid, in array passes of whole grids
+    that hold at most _PASS_REWARDS rewards. An array evaluation is bit
+    for bit the same however its rewards are batched, so each grid
+    comes out as from a call of its own."""
+    sizes = [len(g) for g in grids]
+    out: list[PointEval] = []
+    i = 0
+    while i < len(grids):
+        j = i + 1
+        while j < len(grids) and sum(sizes[i:j + 1]) <= _PASS_REWARDS:
+            j += 1
+        evals = evaluate_point(params, np.concatenate(grids[i:j]), scheme)
+        ends = np.cumsum(sizes[i:j])
+        out += [evals.part(slice(e - n, e)) for n, e in zip(sizes[i:j], ends)]
+        i = j
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Aware scheme: demand inversion and solve
+# ---------------------------------------------------------------------------
+
+
+def _demand_inverse(params: MarketParams, c: float, sar_demand) -> float:
+    lo = case_bound_a(params)
+    d_lo = sar_demand(lo)
+    if c <= d_lo * (1.0 + 1e-12):
+        return lo
+    hi = lo
+    for _ in range(MAX_DOUBLINGS):
+        hi *= 2.0
+        if sar_demand(hi) > c:
+            break
+    else:
+        raise UnboundedSearchError(
+            f"demand never reached capacity {c:.6g} after "
+            f"{MAX_DOUBLINGS} doublings from {lo:.6g}"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        d_mid = sar_demand(mid)
+        if abs(d_mid - c) <= 1e-6 * c:
+            return mid
+        if d_mid < c:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def demand_inverse(params: MarketParams, capacity: float | None = None) -> float:
@@ -258,35 +341,7 @@ def demand_inverse(params: MarketParams, capacity: float | None = None) -> float
     inverse is unique above that knee.
     """
     c = params.C if capacity is None else capacity
-    lo = case_bound_a(params)
-    d_lo = demand(params, lo, Scheme.SAR)
-    if c <= d_lo * (1.0 + 1e-12):
-        return lo
-    hi = lo
-    for _ in range(MAX_DOUBLINGS):
-        hi *= 2.0
-        if demand(params, hi, Scheme.SAR) > c:
-            break
-    else:
-        raise UnboundedSearchError(
-            f"demand never reached capacity {c:.6g} after "
-            f"{MAX_DOUBLINGS} doublings from {lo:.6g}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = demand(params, mid, Scheme.SAR)
-        if abs(d_mid - c) <= 1e-6 * c:
-            return mid
-        if d_mid < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# Aware-scheme solve
-# ---------------------------------------------------------------------------
+    return _demand_inverse(params, c, _demand_at(params, Scheme.SAR))
 
 
 def _grid_with_breakpoints(a: float, b: float, n: int, breaks: list[float]) -> np.ndarray:
@@ -297,74 +352,68 @@ def _grid_with_breakpoints(a: float, b: float, n: int, breaks: list[float]) -> n
     return grid
 
 
-def solve_sar(
-    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
-) -> OperatorOutcome:
-    """Revenue-maximizing reward for the aware scheme.
+def _solve_sar(
+    params: MarketParams, markets: list[MarketParams], config: SolverConfig
+) -> list[OperatorOutcome]:
+    """Revenue-maximizing reward for the aware scheme at each market.
 
     Dense grid over [0, D^-1(C)] then golden-section refinement around
     the best cell; revenue is empirically unimodal, and the grid pass
     protects against surprises in any case.
     """
-    w_hi = demand_inverse(params)
+    sar_demand = _demand_at(params, Scheme.SAR)
+    sar_point = cache(lambda w: evaluate_point(params, w, Scheme.SAR))
     breaks = [case_bound_a(params), case_bound_b_sar(params)]
-    grid = _grid_with_breakpoints(0.0, w_hi, config.grid_points, breaks)
-    evals = evaluate_point(params, grid, Scheme.SAR)
-    best_i = int(np.argmax(evals.r_total))
-
-    lo = float(grid[max(best_i - 1, 0)])
-    hi = float(grid[min(best_i + 1, len(grid) - 1)])
-    best = evals.entry(best_i)
-    if hi > lo:
-        evaluated: dict[float, PointEval] = {}
-
-        def at(w: float) -> PointEval:
-            evaluated[w] = evaluate_point(params, w, Scheme.SAR)
-            return evaluated[w]
-
-        w_ref, _ = golden_max(lambda w: at(w).r_total, lo, hi, rel_tol=GOLDEN_TOL)
-        cand = evaluated[w_ref]
-        if cand.r_total > best.r_total:
-            best = cand
-    return _outcome(params, Scheme.SAR, best)
+    grids = [
+        _grid_with_breakpoints(0.0, _demand_inverse(params, m.C, sar_demand),
+                               config.grid_points, breaks)
+        for m in markets
+    ]
+    outcomes = []
+    for m, grid, evals in zip(markets, grids, _evaluate_grids(params, grids, Scheme.SAR)):
+        best_i = int(np.argmax(evals.r_total))
+        lo = float(grid[max(best_i - 1, 0)])
+        hi = float(grid[min(best_i + 1, len(grid) - 1)])
+        best = evals.entry(best_i)
+        if hi > lo:
+            w_ref, _ = golden_max(
+                lambda w: sar_point(w).r_total, lo, hi, rel_tol=GOLDEN_TOL
+            )
+            cand = sar_point(w_ref)
+            if cand.r_total > best.r_total:
+                best = cand
+        outcomes.append(_outcome(m, Scheme.SAR, best))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
-# Unaware-scheme feasible region and solve
+# Unaware schemes: feasible region and solve
 # ---------------------------------------------------------------------------
 
 
-def _omega_cap(params: MarketParams) -> float:
+def _omega_cap(params: MarketParams, capacity: float, sur_demand) -> float:
     """Upper end of the reward search: smallest power-of-two multiple
     of phi*Q/F whose demand exceeds twice the capacity."""
     q = case_bound_d(params)
     cap = q
     for _ in range(MAX_DOUBLINGS):
-        if demand(params, cap, Scheme.SUR) > 2.0 * params.C:
+        if sur_demand(cap) > 2.0 * capacity:
             return cap
         cap *= 2.0
     return cap
 
 
-def feasible_region(
-    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
+def _intervals(
+    c: float, cap: float, grid: np.ndarray, demands: np.ndarray, sur_demand
 ) -> FeasibleRegion:
-    """Reward intervals where unaware-scheme demand fits the capacity.
-
-    Scans demand on a dense grid, then sharpens every feasibility flip
-    by bisection, keeping the feasible side of each boundary.
-    """
-    cap = _omega_cap(params)
-    breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
-    grid = _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
-    demands = evaluate_point(params, grid, Scheme.SUR).demand
+    """The feasible region at capacity c from its scan of [0, cap]."""
     # the zero reward is feasible within the tolerance MarketParams
     # grants the capacity below D(0)
-    if demands[0] * (1.0 - CAPACITY_RTOL) > params.C:
+    if demands[0] * (1.0 - CAPACITY_RTOL) > c:
         raise InternalConsistencyError(
             "zero reward infeasible despite capacity covering baseline demand"
         )
-    feas = demands <= params.C
+    feas = demands <= c
     feas[0] = True
 
     def refine(w_feas: float, w_infeas: float) -> float:
@@ -373,7 +422,7 @@ def feasible_region(
             mid = 0.5 * (w_feas + w_infeas)
             if abs(w_infeas - w_feas) <= 1e-10 * max(cap, 1.0):
                 break
-            if demand(params, mid, Scheme.SUR) <= params.C:
+            if sur_demand(mid) <= c:
                 w_feas = mid
             else:
                 w_infeas = mid
@@ -398,6 +447,36 @@ def feasible_region(
         intervals.append((float(lo), float(hi)))
         i = j + 1
     return FeasibleRegion(intervals=tuple(intervals))
+
+
+def _feasible_regions(
+    params: MarketParams, capacities: list[float], config: SolverConfig, sur_demand
+) -> list[FeasibleRegion]:
+    """`feasible_region` at each capacity, from one scan pass over the
+    distinct scan grids: capacities with the same search end share one."""
+    breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
+    ends = [_omega_cap(params, c, sur_demand) for c in capacities]
+    grids = {
+        cap: _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
+        for cap in dict.fromkeys(ends)
+    }
+    scans = dict(zip(grids, _evaluate_grids(params, list(grids.values()), Scheme.SUR)))
+    return [
+        _intervals(c, cap, grids[cap], scans[cap].demand, sur_demand)
+        for c, cap in zip(capacities, ends)
+    ]
+
+
+def feasible_region(
+    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
+) -> FeasibleRegion:
+    """Reward intervals where unaware-scheme demand fits the capacity.
+
+    Scans demand on a dense grid, then sharpens every feasibility flip
+    by bisection, keeping the feasible side of each boundary.
+    """
+    sur_demand = _demand_at(params, Scheme.SUR)
+    return _feasible_regions(params, [params.C], config, sur_demand)[0]
 
 
 def _check_band_monotone(
@@ -439,21 +518,11 @@ def _split_at_discontinuity(
     return out
 
 
-@lru_cache(maxsize=32)
-def _solve_unaware_pair(
-    params: MarketParams, config: SolverConfig
+def _unaware_optima(
+    market: MarketParams, grids: list[np.ndarray], evals: list[PointEval], sur_point
 ) -> tuple[OperatorOutcome, OperatorOutcome]:
-    """Solve the pooled and differentiated unaware schemes together.
-
-    Both objectives share demand, thresholds and the feasible region;
-    evaluating them on identical grids also makes the differentiated
-    scheme's dominance over the pooled one hold point-by-point.
-    """
-    region = feasible_region(params, config)
-    q = case_bound_d(params)
-    pieces = _split_at_discontinuity(region.intervals, q)
-    breaks = [case_bound_a(params), case_bound_b_sur(params)]
-
+    """The pooled and the differentiated optimum of one market over its
+    piece grids and their evaluations."""
     best_sur: PointEval | None = None
     best_surd: PointEval | None = None
 
@@ -464,68 +533,135 @@ def _solve_unaware_pair(
         if best_surd is None or pt.r_total_surd > best_surd.r_total_surd:
             best_surd = pt
 
-    evaluated: dict[float, PointEval] = {}
-
-    def at(w: float) -> PointEval:
-        # the SUR and SURD refinements of one cell share most rewards
-        if w not in evaluated:
-            evaluated[w] = evaluate_point(params, w, Scheme.SUR)
-        return evaluated[w]
-
-    grids = [
-        _grid_with_breakpoints(a, b, max(config.grid_points, 2), breaks)
-        if b > a else np.array([a])
-        for a, b in pieces if b >= a
-    ]
-    evals = evaluate_point(params, np.concatenate(grids), Scheme.SUR)
-    start = 0
-    for grid in grids:
-        piece = slice(start, start + len(grid))
-        _check_band_monotone(params, grid, evals.theta4[piece])
+    for grid, piece in zip(grids, evals):
+        _check_band_monotone(market, grid, piece.theta4)
         for objective, values in (
-            (lambda e: e.r_total, evals.r_total[piece]),
-            (lambda e: e.r_total_surd, evals.r_total_surd[piece]),
+            (lambda e: e.r_total, piece.r_total),
+            (lambda e: e.r_total_surd, piece.r_total_surd),
         ):
             best_i = int(np.argmax(values))
-            consider(evals.entry(start + best_i))
+            consider(piece.entry(best_i))
             lo = float(grid[max(best_i - 1, 0)])
             hi = float(grid[min(best_i + 1, len(grid) - 1)])
             if hi > lo:
                 w_ref, _ = golden_max(
-                    lambda w: objective(at(w)), lo, hi, rel_tol=GOLDEN_TOL
+                    lambda w: objective(sur_point(w)), lo, hi, rel_tol=GOLDEN_TOL
                 )
-                consider(at(w_ref))
-        start += len(grid)
+                consider(sur_point(w_ref))
 
     assert best_sur is not None and best_surd is not None
     # The differentiated optimum must also dominate at the pooled
     # scheme's refined argmax; evaluate there explicitly.
-    consider(at(best_sur.w))
-    return _outcome(params, Scheme.SUR, best_sur), _outcome(params, Scheme.SURD, best_surd)
+    consider(sur_point(best_sur.w))
+    return (_outcome(market, Scheme.SUR, best_sur),
+            _outcome(market, Scheme.SURD, best_surd))
+
+
+def _solve_unaware(
+    params: MarketParams, markets: list[MarketParams], config: SolverConfig
+) -> list[tuple[OperatorOutcome, OperatorOutcome]]:
+    """Solve the pooled and differentiated unaware schemes together, at
+    each market.
+
+    Both objectives share demand, thresholds and the feasible region;
+    evaluating them on identical grids also makes the differentiated
+    scheme's dominance over the pooled one hold point-by-point. The SUR
+    and SURD refinements of one cell share most rewards.
+    """
+    sur_demand = _demand_at(params, Scheme.SUR)
+    sur_point = cache(lambda w: evaluate_point(params, w, Scheme.SUR))
+    regions = _feasible_regions(params, [m.C for m in markets], config, sur_demand)
+    q = case_bound_d(params)
+    breaks = [case_bound_a(params), case_bound_b_sur(params)]
+    grids = [
+        [
+            _grid_with_breakpoints(a, b, max(config.grid_points, 2), breaks)
+            if b > a else np.array([a])
+            for a, b in _split_at_discontinuity(region.intervals, q) if b >= a
+        ]
+        for region in regions
+    ]
+    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], Scheme.SUR))
+    return [_unaware_optima(m, gs, [next(evals) for _ in gs], sur_point)
+            for m, gs in zip(markets, grids)]
+
+
+# ---------------------------------------------------------------------------
+# The stage-I engine
+# ---------------------------------------------------------------------------
+
+
+def solve_capacities(
+    params: MarketParams,
+    capacities: Sequence[float],
+    schemes: Sequence[Scheme] = tuple(Scheme),
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> list[list[OperatorOutcome]]:
+    """The market `params` solved at each capacity: one list per
+    capacity of the outcomes of `schemes`, in that order.
+
+    Each capacity is validated as `MarketParams` validates C. The
+    capacities are solved in blocks whose aware grids (grid_points
+    rewards and two case bounds) fill one array pass, and each block
+    has its own memo. Within a block every capacity's aware phase runs
+    before any unaware phase, so an error is raised by the first failing
+    phase of the block; it propagates, and no outcome is returned.
+    """
+    markets = [replace(params, C=float(c)) for c in capacities]
+    block = max(1, _PASS_REWARDS // (config.grid_points + 2))
+    solved: list[list[OperatorOutcome]] = []
+    for start in range(0, len(markets), block):
+        part = markets[start:start + block]
+        by_scheme = {}
+        if Scheme.SAR in schemes:
+            by_scheme[Scheme.SAR] = _solve_sar(params, part, config)
+        if Scheme.SUR in schemes or Scheme.SURD in schemes:
+            by_scheme[Scheme.SUR], by_scheme[Scheme.SURD] = zip(
+                *_solve_unaware(params, part, config)
+            )
+        solved += [[by_scheme[s][k] for s in schemes] for k in range(len(part))]
+    return solved
+
+
+@lru_cache(maxsize=32)
+def _solve_unaware_pair(
+    params: MarketParams, config: SolverConfig
+) -> tuple[OperatorOutcome, OperatorOutcome]:
+    """SUR's and SURD's outcomes at the market's own capacity, from one
+    engine call, kept for the common call of SUR and then SURD."""
+    pair = (Scheme.SUR, Scheme.SURD)
+    return tuple(solve_capacities(params, [params.C], pair, config)[0])
+
+
+def solve(
+    params: MarketParams, scheme: Scheme, config: SolverConfig = DEFAULT_CONFIG
+) -> OperatorOutcome:
+    """The scheme's optimum at the market's own capacity: the one-capacity
+    call of `solve_capacities`."""
+    if scheme is Scheme.SAR:
+        return solve_capacities(params, [params.C], (scheme,), config)[0][0]
+    return _solve_unaware_pair(params, config)[scheme is Scheme.SURD]
+
+
+def solve_sar(
+    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
+) -> OperatorOutcome:
+    """Revenue-maximizing reward for the aware scheme."""
+    return solve(params, Scheme.SAR, config)
 
 
 def solve_sur(
     params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
 ) -> OperatorOutcome:
     """Revenue-maximizing reward with one pooled slot price."""
-    return _solve_unaware_pair(params, config)[0]
+    return solve(params, Scheme.SUR, config)
 
 
 def solve_surd(
     params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
 ) -> OperatorOutcome:
     """Revenue-maximizing reward with class-differentiated slot prices."""
-    return _solve_unaware_pair(params, config)[1]
-
-
-def solve(
-    params: MarketParams, scheme: Scheme, config: SolverConfig = DEFAULT_CONFIG
-) -> OperatorOutcome:
-    if scheme is Scheme.SAR:
-        return solve_sar(params, config)
-    if scheme is Scheme.SUR:
-        return solve_sur(params, config)
-    return solve_surd(params, config)
+    return solve(params, Scheme.SURD, config)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +680,7 @@ def check_theorem2(
     """
     if omega_grid is None:
         lo = case_bound_a(params) * (1.0 + 1e-9)
-        hi = _omega_cap(params)
+        hi = _omega_cap(params, params.C, _demand_at(params, Scheme.SUR))
         omega_grid = np.geomspace(lo, hi, 80)
     prev_a = prev_b = -math.inf
     for w in omega_grid:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from datarewards import save_scenario
+from datarewards import InternalConsistencyError, save_scenario
 from datarewards.cli import fmt_value, main
 from datarewards.presets import PRESETS
 
@@ -202,6 +202,45 @@ def test_invalid_scenario_exit_4(capsys, tmp_path, scenario_file):
     code, _, err = _run(capsys, ["solve", "--scenario", str(bad), "--scheme", "sar"])
     assert code == 4
     assert "invalid scenario" in err
+
+
+def test_sweep_below_baseline_exit_4(capsys, scenario_file):
+    code, out, err = _run(
+        capsys,
+        ["sweep", "--scenario", scenario_file, "--from", "1.0",
+         "--to", "1.6e7", "--steps", "3", "--grid", "60"],
+    )
+    assert code == 4
+    assert "invalid scenario" in err and "D(0)" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("phase,c_arg", [("_demand_inverse", 1), ("_intervals", 0)])
+def test_sweep_error_at_one_capacity_exit_4(
+    monkeypatch, capsys, scenario_file, phase, c_arg
+):
+    # an aware (demand inversion) or an unaware (feasible intervals)
+    # phase fails at the third capacity: the sweep prints no record
+    import datarewards.solver as solver_mod
+
+    orig = getattr(solver_mod, phase)
+    seen: list[float] = []
+
+    def failing(*args):
+        seen.append(args[c_arg])
+        if len(seen) == 3:
+            raise InternalConsistencyError(f"injected failure at C={args[c_arg]:.6g}")
+        return orig(*args)
+
+    monkeypatch.setattr(solver_mod, phase, failing)
+    code, out, err = _run(
+        capsys,
+        ["sweep", "--scenario", scenario_file, "--from", "1.2e7",
+         "--to", "1.6e7", "--steps", "4", "--grid", "60"],
+    )
+    assert code == 4
+    assert "injected failure" in err
+    assert out == ""
 
 
 def test_unknown_scheme_exit_4(capsys, scenario_file):

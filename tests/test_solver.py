@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import datarewards.admarket as admarket_mod
 import datarewards.users as users_mod
 from datarewards import (
     AlphaFairUtility,
+    DataRewardsError,
     ExpUtility,
     InternalConsistencyError,
     LogUtility,
@@ -342,6 +343,60 @@ def test_grid_matches_point_path(u, dist, scheme, fee, w_rel):
             for field in ("revenue", "p_star", "p_star_i", "p_star_ii"):
                 assert _close(getattr(got.ad_surd, field), getattr(pe.ad_surd, field)), (
                     w, field, got.ad_surd, pe.ad_surd)
+
+
+def _fields(pe) -> list:
+    """Every array field of an evaluation at a reward array."""
+    sides = [getattr(ad, f, None) for ad in (pe.ad, pe.ad_surd)
+             for f in ("revenue", "p_star", "p_star_i", "p_star_ii")]
+    return [pe.w, pe.demand, pe.r_data, pe.theta4] + sides
+
+
+_INTERLEAVED = [[(k + j / 7) / 60 for k in range(150)] for j in range(6)]
+
+
+@given(
+    u=st.sampled_from(_GRID_UTILITIES),
+    dist=st.one_of(st.sampled_from(_GRID_DISTS), _narrow_normals()),
+    scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
+    fee=st.sampled_from([30.0, 10.0, 0.01]),
+    parts=st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(min_value=1e-6, max_value=3.0)),
+                 min_size=1, max_size=150).map(sorted),
+        min_size=1, max_size=6,
+    ),
+)
+# six grids of 150 rewards on narrow normals: many panels per segment,
+# so node chunks cut through segments at other places when batched
+@example(u=LogUtility(), dist=TruncatedNormalTypes(75.0, 0.75, 0.0, 150.0),
+         scheme=Scheme.SAR, fee=10.0, parts=_INTERLEAVED)
+@example(u=ExpUtility(gamma=0.7), dist=TruncatedNormalTypes(75.0, 1.5, 0.0, 150.0),
+         scheme=Scheme.SUR, fee=10.0, parts=_INTERLEAVED)
+@settings(max_examples=60, deadline=None)
+def test_array_evaluation_is_batch_invariant(u, dist, scheme, fee, parts):
+    # `solve_capacities` evaluates the grids of many capacities in one
+    # array pass; each reward must come out as in a pass of its own grid
+    # (rewards are in units of phi Q / F, so 0 and 1 are the case edges
+    # 0 and phi Q / F)
+    p = _grid_params(u, dist, fee)
+    grids = [case_bound_d(p) * np.array(part) for part in parts]
+    try:
+        alone = [evaluate_point(p, grid, scheme) for grid in grids]
+    except DataRewardsError as exc:
+        # a check that fails on one grid fails on all of them together
+        with pytest.raises(type(exc)):
+            evaluate_point(p, np.concatenate(grids), scheme)
+        return
+    together = evaluate_point(p, np.concatenate(grids), scheme)
+    assert np.array_equal(together.case_label,
+                          np.concatenate([pe.case_label for pe in alone]))
+    for k, field in enumerate(_fields(together)):
+        pieces = [_fields(pe)[k] for pe in alone]
+        if field is None:
+            assert all(piece is None for piece in pieces), k
+            continue
+        assert np.array_equal(field, np.concatenate(pieces), equal_nan=True), k
 
 
 def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
