@@ -13,7 +13,6 @@ from .admarket import (
     AdMarketStats,
     AdSideOutcome,
     UserClass,
-    ad_side,
     ad_stats,
     advertiser_best_response,
     optimal_price,
@@ -54,16 +53,12 @@ from .solver import (
     SolverConfig,
     check_theorem2,
     check_theorem3,
-    data_revenue,
     demand,
     demand_inverse,
     evaluate_point,
     feasible_region,
     solve,
     solve_capacities,
-    solve_sar,
-    solve_sur,
-    solve_surd,
     theorem5_limit,
 )
 from .users import (

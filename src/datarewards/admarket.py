@@ -222,10 +222,3 @@ def ad_sides(
         np.where(in_c, p_i, math.nan),
         np.where(in_c, p_ii, math.nan),
     )
-
-
-def ad_side(params: MarketParams, w: float, scheme: Scheme) -> AdSideOutcome:
-    """Optimal slot pricing and resulting ad revenue at reward w."""
-    part = thresholds(params, w, scheme is Scheme.SAR)
-    pooled, split = ad_sides(params, part, watch_moments(params, part), scheme)
-    return split if scheme is Scheme.SURD else pooled

@@ -10,6 +10,12 @@ dense grid followed by golden-section refinement. Revenue is
 discontinuous at the reward level phi*Q/F where subscribing stops
 paying at all, so that point always splits intervals.
 
+One search (`_solve_family`) serves every scheme: it takes each
+market's feasible reward pieces, the aware [0, D^-1(C)] or the unaware
+region split at phi*Q/F, and maximizes each scheme's revenue over them.
+It solves one scheme family at a time, SAR alone or SUR and SURD
+together, since those two share demand, thresholds and feasible region.
+
 `solve_capacities` is the one stage-I path (`solve` is its call at one
 capacity). Over a block of capacities it makes one array call of
 `evaluate_point` per phase (aware grids, unaware scans, unaware piece
@@ -28,11 +34,12 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from .admarket import AdSideOutcome, Scheme, ad_sides, ad_stats, watch_moments
-from .errors import InternalConsistencyError, UnboundedSearchError
+from .errors import DomainError, InternalConsistencyError, UnboundedSearchError
 from .model import CAPACITY_RTOL, MarketParams, mass
 from .numerics import golden_max
 from .users import (
@@ -51,10 +58,18 @@ from .users import (
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable search resolutions; defaults keep sweep outputs stable
-    to at least four significant digits."""
+    to at least four significant digits. Each is at least 2, so that a
+    grid holds both ends of its interval."""
 
     grid_points: int = 2000  # revenue grid per feasible interval
     scan_points: int = 600  # demand feasibility scan resolution
+
+    def __post_init__(self) -> None:
+        for name in ("grid_points", "scan_points"):
+            if getattr(self, name) < 2:
+                raise DomainError(
+                    f"SolverConfig.{name} must be at least 2, got {getattr(self, name)}"
+                )
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -150,12 +165,6 @@ def demand(params: MarketParams, w: float, scheme: Scheme) -> float:
     """Total data requested per month at reward w."""
     part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
     return _demand(params, part, subscriber_mass(params, part), watch_moments(params, part))
-
-
-def data_revenue(params: MarketParams, w: float, scheme: Scheme) -> float:
-    """Subscription revenue at reward w: fee times subscriber mass."""
-    part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    return params.N * params.F * subscriber_mass(params, part)
 
 
 _SAR_LABELS = np.array([c.value for c in SarCase])
@@ -302,8 +311,22 @@ def _evaluate_grids(
 
 
 # ---------------------------------------------------------------------------
-# Aware scheme: demand inversion and solve
+# Feasible rewards: demand inversion and the unaware feasible region
 # ---------------------------------------------------------------------------
+
+
+def _double_until(demand_at, start: float, level: float) -> float:
+    """The first of the rewards start, 2 start, 4 start, ... whose
+    demand exceeds level; raises after MAX_DOUBLINGS of them."""
+    w = start
+    for _ in range(MAX_DOUBLINGS):
+        if demand_at(w) > level:
+            return w
+        w *= 2.0
+    raise UnboundedSearchError(
+        f"demand never exceeded {level:.6g} at {MAX_DOUBLINGS} doublings "
+        f"of the reward from {start:.6g}"
+    )
 
 
 def _demand_inverse(params: MarketParams, c: float, sar_demand) -> float:
@@ -311,16 +334,7 @@ def _demand_inverse(params: MarketParams, c: float, sar_demand) -> float:
     d_lo = sar_demand(lo)
     if c <= d_lo * (1.0 + 1e-12):
         return lo
-    hi = lo
-    for _ in range(MAX_DOUBLINGS):
-        hi *= 2.0
-        if sar_demand(hi) > c:
-            break
-    else:
-        raise UnboundedSearchError(
-            f"demand never reached capacity {c:.6g} after "
-            f"{MAX_DOUBLINGS} doublings from {lo:.6g}"
-        )
+    hi = _double_until(sar_demand, 2.0 * lo, c)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d_mid = sar_demand(mid)
@@ -344,63 +358,18 @@ def demand_inverse(params: MarketParams, capacity: float | None = None) -> float
     return _demand_inverse(params, c, _demand_at(params, Scheme.SAR))
 
 
+def _omega_cap(params: MarketParams, capacity: float, sur_demand) -> float:
+    """Upper end of the unaware reward search: smallest power-of-two
+    multiple of phi*Q/F whose demand exceeds twice the capacity."""
+    return _double_until(sur_demand, case_bound_d(params), 2.0 * capacity)
+
+
 def _grid_with_breakpoints(a: float, b: float, n: int, breaks: list[float]) -> np.ndarray:
     grid = np.linspace(a, b, n)
     extra = [x for x in breaks if a < x < b]
     if extra:
         grid = np.unique(np.concatenate([grid, np.asarray(extra)]))
     return grid
-
-
-def _solve_sar(
-    params: MarketParams, markets: list[MarketParams], config: SolverConfig
-) -> list[OperatorOutcome]:
-    """Revenue-maximizing reward for the aware scheme at each market.
-
-    Dense grid over [0, D^-1(C)] then golden-section refinement around
-    the best cell; revenue is empirically unimodal, and the grid pass
-    protects against surprises in any case.
-    """
-    sar_demand = _demand_at(params, Scheme.SAR)
-    sar_point = cache(lambda w: evaluate_point(params, w, Scheme.SAR))
-    breaks = [case_bound_a(params), case_bound_b_sar(params)]
-    grids = [
-        _grid_with_breakpoints(0.0, _demand_inverse(params, m.C, sar_demand),
-                               config.grid_points, breaks)
-        for m in markets
-    ]
-    outcomes = []
-    for m, grid, evals in zip(markets, grids, _evaluate_grids(params, grids, Scheme.SAR)):
-        best_i = int(np.argmax(evals.r_total))
-        lo = float(grid[max(best_i - 1, 0)])
-        hi = float(grid[min(best_i + 1, len(grid) - 1)])
-        best = evals.entry(best_i)
-        if hi > lo:
-            w_ref, _ = golden_max(
-                lambda w: sar_point(w).r_total, lo, hi, rel_tol=GOLDEN_TOL
-            )
-            cand = sar_point(w_ref)
-            if cand.r_total > best.r_total:
-                best = cand
-        outcomes.append(_outcome(m, Scheme.SAR, best))
-    return outcomes
-
-
-# ---------------------------------------------------------------------------
-# Unaware schemes: feasible region and solve
-# ---------------------------------------------------------------------------
-
-
-def _omega_cap(params: MarketParams, capacity: float, sur_demand) -> float:
-    """Upper end of the reward search: smallest power-of-two multiple
-    of phi*Q/F whose demand exceeds twice the capacity."""
-    q = case_bound_d(params)
-    cap = q
-    for _ in range(MAX_DOUBLINGS):
-        if sur_demand(cap) > 2.0 * capacity:
-            return cap
-        cap *= 2.0
-    return cap
 
 
 def _intervals(
@@ -518,71 +487,103 @@ def _split_at_discontinuity(
     return out
 
 
-def _unaware_optima(
-    market: MarketParams, grids: list[np.ndarray], evals: list[PointEval], sur_point
-) -> tuple[OperatorOutcome, OperatorOutcome]:
-    """The pooled and the differentiated optimum of one market over its
-    piece grids and their evaluations."""
-    best_sur: PointEval | None = None
-    best_surd: PointEval | None = None
+# ---------------------------------------------------------------------------
+# The stage-I search
+# ---------------------------------------------------------------------------
+
+# Scheme families, each solved by one search: the family's first scheme
+# is the one its stage II is evaluated under. SUR's evaluation carries
+# SURD's ad side too (`PointEval.ad_surd`).
+_FAMILIES = ((Scheme.SAR,), (Scheme.SUR, Scheme.SURD))
+# the revenue each scheme maximizes, read from its family's evaluation
+_OBJECTIVE = {
+    Scheme.SAR: attrgetter("r_total"),
+    Scheme.SUR: attrgetter("r_total"),
+    Scheme.SURD: attrgetter("r_total_surd"),
+}
+
+
+def _feasible_pieces(
+    params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
+    config: SolverConfig,
+) -> tuple[list[list[tuple[float, float]]], list[float]]:
+    """The reward pieces to search at each market, and the case bounds
+    that every grid on them holds. Aware demand only grows with the
+    reward, so its one piece is [0, D^-1(C)]; the unaware feasible region
+    is split at phi*Q/F, where revenue jumps."""
+    if family[0] is Scheme.SAR:
+        sar_demand = _demand_at(params, Scheme.SAR)
+        pieces = [[(0.0, _demand_inverse(params, m.C, sar_demand))] for m in markets]
+        return pieces, [case_bound_a(params), case_bound_b_sar(params)]
+    sur_demand = _demand_at(params, Scheme.SUR)
+    regions = _feasible_regions(params, [m.C for m in markets], config, sur_demand)
+    q = case_bound_d(params)
+    pieces = [
+        [(a, b) for a, b in _split_at_discontinuity(region.intervals, q) if b >= a]
+        for region in regions
+    ]
+    return pieces, [case_bound_a(params), case_bound_b_sur(params)]
+
+
+def _family_optima(
+    market: MarketParams, family: tuple[Scheme, ...], grids: list[np.ndarray],
+    evals: list[PointEval], point,
+) -> tuple[OperatorOutcome, ...]:
+    """Each scheme of the family at its optimum over one market's piece
+    grids and their evaluations: per piece and objective, the best grid
+    cell and its golden refinement (revenue is empirically unimodal, and
+    the grid protects against surprises in any case)."""
+    objectives = [_OBJECTIVE[s] for s in family]
+    best: list[PointEval | None] = [None] * len(family)
 
     def consider(pt: PointEval) -> None:
-        nonlocal best_sur, best_surd
-        if best_sur is None or pt.r_total > best_sur.r_total:
-            best_sur = pt
-        if best_surd is None or pt.r_total_surd > best_surd.r_total_surd:
-            best_surd = pt
+        for k, objective in enumerate(objectives):
+            if best[k] is None or objective(pt) > objective(best[k]):
+                best[k] = pt
 
     for grid, piece in zip(grids, evals):
         _check_band_monotone(market, grid, piece.theta4)
-        for objective, values in (
-            (lambda e: e.r_total, piece.r_total),
-            (lambda e: e.r_total_surd, piece.r_total_surd),
-        ):
-            best_i = int(np.argmax(values))
+        for objective in objectives:
+            best_i = int(np.argmax(objective(piece)))
             consider(piece.entry(best_i))
             lo = float(grid[max(best_i - 1, 0)])
             hi = float(grid[min(best_i + 1, len(grid) - 1)])
             if hi > lo:
                 w_ref, _ = golden_max(
-                    lambda w: objective(sur_point(w)), lo, hi, rel_tol=GOLDEN_TOL
+                    lambda w: objective(point(w)), lo, hi, rel_tol=GOLDEN_TOL
                 )
-                consider(sur_point(w_ref))
+                consider(point(w_ref))
 
-    assert best_sur is not None and best_surd is not None
-    # The differentiated optimum must also dominate at the pooled
-    # scheme's refined argmax; evaluate there explicitly.
-    consider(sur_point(best_sur.w))
-    return (_outcome(market, Scheme.SUR, best_sur),
-            _outcome(market, Scheme.SURD, best_surd))
+    if len(family) > 1:
+        # The differentiated optimum must also dominate at the pooled
+        # scheme's refined argmax; evaluate there explicitly.
+        consider(point(best[0].w))
+    return tuple(_outcome(market, s, pe) for s, pe in zip(family, best))
 
 
-def _solve_unaware(
-    params: MarketParams, markets: list[MarketParams], config: SolverConfig
-) -> list[tuple[OperatorOutcome, OperatorOutcome]]:
-    """Solve the pooled and differentiated unaware schemes together, at
-    each market.
+def _solve_family(
+    params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
+    config: SolverConfig,
+) -> list[tuple[OperatorOutcome, ...]]:
+    """The optima of the family's schemes at each market.
 
-    Both objectives share demand, thresholds and the feasible region;
-    evaluating them on identical grids also makes the differentiated
-    scheme's dominance over the pooled one hold point-by-point. The SUR
-    and SURD refinements of one cell share most rewards.
+    Every piece gets a dense grid with the case bounds as breakpoints,
+    and all grids are evaluated in shared array passes. SUR and SURD are
+    searched on identical grids, which makes the differentiated scheme's
+    dominance over the pooled one hold point by point.
     """
-    sur_demand = _demand_at(params, Scheme.SUR)
-    sur_point = cache(lambda w: evaluate_point(params, w, Scheme.SUR))
-    regions = _feasible_regions(params, [m.C for m in markets], config, sur_demand)
-    q = case_bound_d(params)
-    breaks = [case_bound_a(params), case_bound_b_sur(params)]
+    pieces, breaks = _feasible_pieces(params, markets, family, config)
     grids = [
         [
-            _grid_with_breakpoints(a, b, max(config.grid_points, 2), breaks)
+            _grid_with_breakpoints(a, b, config.grid_points, breaks)
             if b > a else np.array([a])
-            for a, b in _split_at_discontinuity(region.intervals, q) if b >= a
+            for a, b in market_pieces
         ]
-        for region in regions
+        for market_pieces in pieces
     ]
-    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], Scheme.SUR))
-    return [_unaware_optima(m, gs, [next(evals) for _ in gs], sur_point)
+    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], family[0]))
+    point = cache(lambda w: evaluate_point(params, w, family[0]))
+    return [_family_optima(m, family, gs, [next(evals) for _ in gs], point)
             for m, gs in zip(markets, grids)]
 
 
@@ -608,17 +609,14 @@ def solve_capacities(
     phase of the block; it propagates, and no outcome is returned.
     """
     markets = [replace(params, C=float(c)) for c in capacities]
+    families = [f for f in _FAMILIES if any(s in schemes for s in f)]
     block = max(1, _PASS_REWARDS // (config.grid_points + 2))
     solved: list[list[OperatorOutcome]] = []
     for start in range(0, len(markets), block):
         part = markets[start:start + block]
         by_scheme = {}
-        if Scheme.SAR in schemes:
-            by_scheme[Scheme.SAR] = _solve_sar(params, part, config)
-        if Scheme.SUR in schemes or Scheme.SURD in schemes:
-            by_scheme[Scheme.SUR], by_scheme[Scheme.SURD] = zip(
-                *_solve_unaware(params, part, config)
-            )
+        for family in families:
+            by_scheme.update(zip(family, zip(*_solve_family(params, part, family, config))))
         solved += [[by_scheme[s][k] for s in schemes] for k in range(len(part))]
     return solved
 
@@ -641,27 +639,6 @@ def solve(
     if scheme is Scheme.SAR:
         return solve_capacities(params, [params.C], (scheme,), config)[0][0]
     return _solve_unaware_pair(params, config)[scheme is Scheme.SURD]
-
-
-def solve_sar(
-    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
-) -> OperatorOutcome:
-    """Revenue-maximizing reward for the aware scheme."""
-    return solve(params, Scheme.SAR, config)
-
-
-def solve_sur(
-    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
-) -> OperatorOutcome:
-    """Revenue-maximizing reward with one pooled slot price."""
-    return solve(params, Scheme.SUR, config)
-
-
-def solve_surd(
-    params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
-) -> OperatorOutcome:
-    """Revenue-maximizing reward with class-differentiated slot prices."""
-    return solve(params, Scheme.SURD, config)
 
 
 # ---------------------------------------------------------------------------

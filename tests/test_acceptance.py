@@ -33,9 +33,6 @@ from datarewards import (
     best_response_sar,
     best_response_sur,
     solve,
-    solve_sar,
-    solve_sur,
-    solve_surd,
     solve_theta2,
     solve_theta4,
     theorem5_limit,
@@ -116,7 +113,7 @@ def test_criterion_2_capacity_exhaustion(fig5a_params):
     d0 = fig5a_params.baseline_demand()
     for c in np.linspace(d0 * 1.001, 2.2e7, 10):
         p = replace(fig5a_params, C=float(c))
-        out = solve_sar(p, CFG400)
+        out = solve(p, Scheme.SAR, CFG400)
         assert abs(out.demand - p.C) / p.C <= 1e-4, (
             f"capacity not exhausted at C={c:.4g}: D={out.demand:.6g}"
         )
@@ -132,7 +129,7 @@ def test_criterion_2_capacity_exhaustion(fig5a_params):
 
 def test_criterion_3_non_exhaustion_counterexample(appk_params):
     start = time.perf_counter()
-    out = solve_sar(appk_params)
+    out = solve(appk_params, Scheme.SAR)
     assert out.omega_star == pytest.approx(0.137, abs=0.005)
     assert out.demand == pytest.approx(1.846e7, rel=0.02)
     assert not out.capacity_binding
@@ -189,8 +186,8 @@ def test_criterion_4_differentiation_dominance():
             p = _random_market(rng)
         except ScenarioError:
             continue
-        sur = solve_sur(p, CFG150)
-        surd = solve_surd(p, CFG150)
+        sur = solve(p, Scheme.SUR, CFG150)
+        surd = solve(p, Scheme.SURD, CFG150)
         assert surd.r_total >= sur.r_total * (1.0 - 1e-6), (
             f"dominance violated on {p!r}: "
             f"{surd.r_total:.8g} < {sur.r_total:.8g}"
@@ -215,8 +212,8 @@ def test_criterion_5_crossover_and_gain(fig5a_params, fig5a_tight):
     for c in caps:
         p = replace(fig5a_params, C=float(c))
         results[float(c)] = (
-            solve_sar(p, CFG400).r_total,
-            solve_sur(p, CFG400).r_total,
+            solve(p, Scheme.SAR, CFG400).r_total,
+            solve(p, Scheme.SUR, CFG400).r_total,
         )
     # pooled unaware beats aware somewhere on the tight-capacity side
     assert any(sur > sar for c, (sar, sur) in results.items() if c <= 1.44e7)
@@ -225,8 +222,8 @@ def test_criterion_5_crossover_and_gain(fig5a_params, fig5a_tight):
         if c >= 1.64e7:
             assert sar > sur, f"aware scheme not dominant at C={c:.4g}"
     # differentiation gain at the reference tight capacity
-    sur = solve_sur(fig5a_tight, CFG600)
-    surd = solve_surd(fig5a_tight, CFG600)
+    sur = solve(fig5a_tight, Scheme.SUR, CFG600)
+    surd = solve(fig5a_tight, Scheme.SURD, CFG600)
     gain = (surd.r_total - sur.r_total) / sur.r_total
     assert gain == pytest.approx(0.094, abs=0.015), f"gain {gain:.4f}"
 
@@ -238,8 +235,8 @@ def test_criterion_5_crossover_and_gain(fig5a_params, fig5a_tight):
 
 def test_criterion_6_differentiation_gain_exp(fig7c_params):
     p = fig7c_params
-    sur = solve_sur(p, CFG600)
-    surd = solve_surd(p, CFG600)
+    sur = solve(p, Scheme.SUR, CFG600)
+    surd = solve(p, Scheme.SURD, CFG600)
     gain = (surd.r_total - sur.r_total) / sur.r_total
     assert gain == pytest.approx(0.203, abs=0.02), f"gain {gain:.4f}"
     w = surd.omega_star
@@ -260,9 +257,9 @@ def test_criterion_7_large_capacity_limit(fig5a_params):
     ratios = []
     for mult in (1e3, 1e4, 1e5):
         p = replace(fig5a_params, C=d0 * mult)
-        sar = solve_sar(p, CFG400)
-        sur = solve_sur(p, CFG400)
-        surd = solve_surd(p, CFG400)
+        sar = solve(p, Scheme.SAR, CFG400)
+        sur = solve(p, Scheme.SUR, CFG400)
+        surd = solve(p, Scheme.SURD, CFG400)
         assert sar.r_total > surd.r_total
         assert surd.r_total >= sur.r_total * (1.0 - 1e-6)
         ratios.append(sar.r_total / limit)
@@ -329,9 +326,9 @@ def test_criterion_9_small_wearout_ordering():
     d0 = preset.sweep_from()
     for c in np.linspace(d0 * 1.001, 2.2e7, 10):
         p = preset.params(float(c))
-        sar = solve_sar(p, CFG400)
-        sur = solve_sur(p, CFG400)
-        surd = solve_surd(p, CFG400)
+        sar = solve(p, Scheme.SAR, CFG400)
+        sur = solve(p, Scheme.SUR, CFG400)
+        surd = solve(p, Scheme.SURD, CFG400)
         assert sur.r_total >= sar.r_total * (1.0 - 1e-9), (
             f"aware beat unaware at C={c:.4g}"
         )

@@ -9,9 +9,9 @@ from datarewards import (
     Scheme,
     UniformTypes,
     UserClass,
-    ad_side,
     ad_stats,
     advertiser_best_response,
+    evaluate_point,
     optimal_price,
     solve_theta2,
 )
@@ -195,12 +195,12 @@ def test_class_stats_mix_back_to_pooled():
 def test_differentiated_prices_only_with_two_classes():
     p = _log_uniform()
     w_two = 0.5 * (case_bound_b_sur(p) + case_bound_d(p))
-    out = ad_side(p, w_two, Scheme.SURD)
+    out = evaluate_point(p, w_two, Scheme.SURD).ad
     assert out.p_star is None
     assert out.p_star_i is not None and out.p_star_ii is not None
 
     w_one = 0.9 * case_bound_b_sur(p)
-    out = ad_side(p, w_one, Scheme.SURD)
+    out = evaluate_point(p, w_one, Scheme.SURD).ad
     assert out.p_star is not None
     assert out.p_star_i is None and out.p_star_ii is None
 
@@ -208,8 +208,8 @@ def test_differentiated_prices_only_with_two_classes():
 def test_differentiation_never_loses_revenue():
     p = _log_uniform()
     for w in np.linspace(1e-4, 1.5 * case_bound_d(p), 25):
-        rev_pool = ad_side(p, float(w), Scheme.SUR).revenue
-        rev_diff = ad_side(p, float(w), Scheme.SURD).revenue
+        rev_pool = evaluate_point(p, float(w), Scheme.SUR).ad.revenue
+        rev_diff = evaluate_point(p, float(w), Scheme.SURD).ad.revenue
         assert rev_diff >= rev_pool * (1.0 - 1e-9)
 
 
@@ -242,13 +242,13 @@ def test_zero_reward_has_no_watchers():
     for scheme in (Scheme.SAR, Scheme.SUR, Scheme.SURD):
         part = thresholds(p, 0.0, scheme_aware=scheme is Scheme.SAR)
         assert _nonempty_segments(part) == []
-        assert ad_side(p, 0.0, scheme).revenue == 0.0
+        assert evaluate_point(p, 0.0, scheme).ad.revenue == 0.0
 
 
 def test_ad_revenue_equals_price_times_slots():
     p = _log_uniform()
     w = 0.9 * case_bound_b_sar(p)
     stats = ad_stats(p, w, Scheme.SAR)
-    out = ad_side(p, w, Scheme.SAR)
+    out = evaluate_point(p, w, Scheme.SAR).ad
     m = advertiser_best_response(stats, p, out.p_star)
     assert out.revenue == pytest.approx(p.K * m * out.p_star, rel=1e-12)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from datarewards import InternalConsistencyError, save_scenario
+from datarewards import (
+    DomainError, InternalConsistencyError, Scheme, SolverConfig, UnboundedSearchError,
+    save_scenario, solve,
+)
 from datarewards.cli import fmt_value, main
 from datarewards.presets import PRESETS
 
@@ -241,6 +244,40 @@ def test_sweep_error_at_one_capacity_exit_4(
     assert code == 4
     assert "injected failure" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("grid", ["1", "-5"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_grid_below_two_exit_4(capsys, scenario_file, command, grid):
+    # a one-point grid would search the reward 0 alone
+    extra = (["--scheme", "sar"] if command == "solve"
+             else ["--from", "1.2e7", "--to", "1.6e7", "--steps", "2"])
+    code, out, err = _run(
+        capsys, [command, "--scenario", scenario_file, *extra, "--grid", grid]
+    )
+    assert code == 4
+    assert out == ""
+    assert "grid_points" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("grid_points", 1), ("scan_points", 0)])
+def test_solver_config_needs_two_points(field, value):
+    with pytest.raises(DomainError, match=field):
+        SolverConfig(**{field: value})
+    assert SolverConfig(grid_points=2, scan_points=2).grid_points == 2
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+def test_demand_search_without_enough_demand_raises(monkeypatch, scheme):
+    # demand stuck at half the capacity: the aware search (for demand
+    # above C) and the unaware one (above 2C) both run out of doublings
+    import datarewards.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_demand_at", lambda params, _: lambda w: 0.5 * params.C)
+    solver_mod._solve_unaware_pair.cache_clear()
+    params = PRESETS["fig5a"].params(1.6e7)
+    with pytest.raises(UnboundedSearchError, match="doublings"):
+        solve(params, scheme, SolverConfig(grid_points=60, scan_points=50))
 
 
 def test_unknown_scheme_exit_4(capsys, scenario_file):

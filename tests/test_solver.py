@@ -24,15 +24,11 @@ from datarewards import (
     best_response_sur,
     check_theorem2,
     check_theorem3,
-    data_revenue,
     demand,
     demand_inverse,
     feasible_region,
     integrate,
     solve,
-    solve_sar,
-    solve_sur,
-    solve_surd,
     theorem5_limit,
 )
 from datarewards.model import mass
@@ -185,7 +181,7 @@ def test_demand_and_data_revenue_integrate_best_responses(name, mu0, scheme):
         cases.add(thr.case)
         want_demand, want_subscribed = _best_response_integrals(p, w, scheme)
         assert demand(p, w, scheme) == pytest.approx(want_demand, rel=1e-12, abs=0.0)
-        assert data_revenue(p, w, scheme) == pytest.approx(
+        assert evaluate_point(p, w, scheme).r_data == pytest.approx(
             p.F * want_subscribed, rel=1e-12, abs=0.0
         )
     # every case is covered; with mu = 0 SUR has no case B^
@@ -570,7 +566,7 @@ def test_records_hold_builtin_types(fig5a_params, scheme):
 
 def test_solution_beats_sampled_feasible_rewards(fig5a_params):
     p = fig5a_params
-    out = solve_sar(p, FAST)
+    out = solve(p, Scheme.SAR, FAST)
     w_hi = demand_inverse(p)
     for w in np.linspace(0.0, w_hi, 40):
         pe = evaluate_point(p, float(w), Scheme.SAR)
@@ -579,8 +575,8 @@ def test_solution_beats_sampled_feasible_rewards(fig5a_params):
 
 def test_surd_dominates_sur(fig5a_params, fig7c_params):
     for p in (fig5a_params, fig7c_params):
-        sur = solve_sur(p, FAST)
-        surd = solve_surd(p, FAST)
+        sur = solve(p, Scheme.SUR, FAST)
+        surd = solve(p, Scheme.SURD, FAST)
         assert surd.r_total >= sur.r_total * (1.0 - 1e-9)
 
 
@@ -589,14 +585,14 @@ def test_pair_solver_reuses_work(fig5a_params):
     from datarewards.solver import _solve_unaware_pair
 
     _solve_unaware_pair.cache_clear()
-    solve_sur(fig5a_params, FAST)
-    solve_surd(fig5a_params, FAST)
+    solve(fig5a_params, Scheme.SUR, FAST)
+    solve(fig5a_params, Scheme.SURD, FAST)
     info = _solve_unaware_pair.cache_info()
     assert info.misses == 1 and info.hits >= 1
 
 
 def test_differentiated_prices_reported_when_split(fig5a_tight):
-    out = solve_surd(fig5a_tight, FAST)
+    out = solve(fig5a_tight, Scheme.SURD, FAST)
     # at tight capacity the optimum sits where both watcher classes exist
     assert out.p_star is None
     assert out.p_star_i is not None and out.p_star_ii is not None
@@ -625,7 +621,7 @@ def test_non_exhaustion_conditions(appk_params, fig5a_params):
     strong = replace(appk_params, C=3.0e7, A=3.0)
     cap_cond, wear_cond = check_theorem3(strong)
     assert cap_cond and wear_cond
-    out = solve_sur(strong, FAST)
+    out = solve(strong, Scheme.SUR, FAST)
     assert not out.capacity_binding
     assert out.demand < strong.C
     # the wide-uniform market does exhaust capacity; the condition fails
@@ -660,6 +656,6 @@ def test_sar_revenue_approaches_limit(fig5a_params):
     ratios = []
     for mult in (1e2, 1e3, 1e4):
         big = _log_uniform(C=d0 * mult)
-        ratios.append(solve_sar(big, FAST).r_total / limit)
+        ratios.append(solve(big, Scheme.SAR, FAST).r_total / limit)
     assert all(r < 1.0 for r in ratios)
     assert ratios == sorted(ratios)
