@@ -16,6 +16,22 @@ region split at phi*Q/F, and maximizes each scheme's revenue over them.
 It solves one scheme family at a time, SAR alone or SUR and SURD
 together, since those two share demand, thresholds and feasible region.
 
+D^-1(C) and each boundary of the unaware feasible region are found by
+bisection: D^-1(C) by halving [case_bound_a, the first doubling whose
+demand exceeds C] until a midpoint has |D - C| <= 1e-6 C, a boundary by
+halving its scan cell to 1e-10 max(cap, 1), keeping the feasible end.
+`numerics.monotone_bisect` takes the midpoints of those plain loops and
+returns their answer, but evaluates demand at few of them: a midpoint
+between two evaluated rewards on one side of C is decided without an
+evaluation, and Illinois steps toward C place the evaluations. The
+answers equal plain bisection wherever demand is monotone between the
+rewards evaluated. Aware demand always is; unaware demand is where it
+crosses C once within the scan cell, but near a tangency with C (as at
+C = D(0) on markets whose demand dips) it wobbles by about 1e-10
+relative, the resolution of theta4, and a boundary can then move (by
+up to 3e-8 relative on 261 drawn markets), still to a reward whose
+demand was evaluated within C.
+
 `solve_capacities` is the one stage-I path (`solve` is its call at one
 capacity). Over a block of capacities it makes one array call of
 `evaluate_point` per phase (aware grids, unaware scans, unaware piece
@@ -41,7 +57,7 @@ import numpy as np
 from .admarket import AdSideOutcome, Scheme, ad_sides, ad_stats, watch_moments
 from .errors import DomainError, InternalConsistencyError, UnboundedSearchError
 from .model import CAPACITY_RTOL, MarketParams, mass
-from .numerics import golden_max
+from .numerics import golden_max, monotone_bisect
 from .users import (
     SarCase,
     SurCase,
@@ -330,21 +346,24 @@ def _double_until(demand_at, start: float, level: float) -> float:
 
 
 def _demand_inverse(params: MarketParams, c: float, sar_demand) -> float:
+    """The first midpoint of a bisection of [case_bound_a, the first
+    doubling whose demand exceeds c] at which |D - c| <= 1e-6 c; raises
+    when 200 halvings find none, as when demand jumps across that band."""
     lo = case_bound_a(params)
     d_lo = sar_demand(lo)
     if c <= d_lo * (1.0 + 1e-12):
         return lo
     hi = _double_until(sar_demand, 2.0 * lo, c)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = sar_demand(mid)
-        if abs(d_mid - c) <= 1e-6 * c:
-            return mid
-        if d_mid < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi, hit = monotone_bisect(
+        sar_demand, lo, hi, d_lo, sar_demand(hi), c, band=1e-6 * c, max_iter=200
+    )
+    if not hit:
+        raise InternalConsistencyError(
+            f"demand inversion found no reward with demand within 1e-6 of "
+            f"C={c!r} after 200 halvings: D({lo!r})={sar_demand(lo)!r}, "
+            f"D({hi!r})={sar_demand(hi)!r}"
+        )
+    return lo
 
 
 def demand_inverse(params: MarketParams, capacity: float | None = None) -> float:
@@ -352,7 +371,9 @@ def demand_inverse(params: MarketParams, capacity: float | None = None) -> float
 
     Demand is flat at its zero-reward level until the reward becomes
     attractive to the highest type, then strictly increases, so the
-    inverse is unique above that knee.
+    inverse is unique above that knee. The answer is the first midpoint
+    of a bisection at which demand is within 1e-6 of the capacity;
+    InternalConsistencyError is raised when 200 halvings find none.
     """
     c = params.C if capacity is None else capacity
     return _demand_inverse(params, c, _demand_at(params, Scheme.SAR))
@@ -385,16 +406,13 @@ def _intervals(
     feas = demands <= c
     feas[0] = True
 
-    def refine(w_feas: float, w_infeas: float) -> float:
-        # returns a feasible reward adjacent to the boundary
-        for _ in range(80):
-            mid = 0.5 * (w_feas + w_infeas)
-            if abs(w_infeas - w_feas) <= 1e-10 * max(cap, 1.0):
-                break
-            if sur_demand(mid) <= c:
-                w_feas = mid
-            else:
-                w_infeas = mid
+    def refine(i_feas: int, i_infeas: int) -> float:
+        # a feasible reward within 1e-10 max(cap, 1) of the boundary in
+        # the scan cell; the scan's demands only aim the first step
+        w_feas, _, _ = monotone_bisect(
+            sur_demand, grid[i_feas], grid[i_infeas], demands[i_feas],
+            demands[i_infeas], c, xtol=1e-10 * max(cap, 1.0), max_iter=80,
+        )
         return w_feas
 
     intervals: list[tuple[float, float]] = []
@@ -410,9 +428,9 @@ def _intervals(
         lo = grid[i]
         hi = grid[j]
         if i > 0:
-            lo = refine(grid[i], grid[i - 1])
+            lo = refine(i, i - 1)
         if j + 1 < n:
-            hi = refine(grid[j], grid[j + 1])
+            hi = refine(j, j + 1)
         intervals.append((float(lo), float(hi)))
         i = j + 1
     return FeasibleRegion(intervals=tuple(intervals))

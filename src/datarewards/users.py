@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError
 from .model import MarketParams
 from .numerics import newton_root, newton_roots
 
@@ -83,6 +83,25 @@ class Thresholds(NamedTuple):
 class UserDecision:
     r: int  # subscribe (1) or not (0)
     x: float  # ads watched per month
+
+
+# The smallest positive reward stage II takes. Below it phi / (w u')
+# and phi / (w theta) overflow doubles (w u' can even round to 0), and
+# the thresholds come out as inf or NaN: at subnormal rewards the
+# partition of an alpha-fair market raised DomainError,
+# NumericalError or ZeroDivisionError, depending on the market.
+MIN_REWARD = 1e-300
+
+
+def _check_reward(w) -> None:
+    """Raise DomainError at a reward in (0, MIN_REWARD)."""
+    tiny = (w > 0.0) & (w < MIN_REWARD)
+    if _any(tiny):
+        (w_,) = _first(tiny, w)
+        raise DomainError(
+            f"reward {w_!r} is below the smallest supported positive reward "
+            f"{MIN_REWARD!r}"
+        )
 
 
 def theta0(params: MarketParams) -> float:
@@ -404,8 +423,10 @@ def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
     stage-II quantity at w reads this one record.
 
     w may be a float or an array of rewards, whose case-C roots are
-    then found together (`solve_theta2` / `solve_theta4`).
+    then found together (`solve_theta2` / `solve_theta4`). A reward in
+    (0, MIN_REWARD) raises DomainError.
     """
+    _check_reward(w)
     t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
     top = params.dist.theta_max
     solve_root = solve_theta2 if scheme_aware else solve_theta4

@@ -54,6 +54,7 @@ from datarewards.users import (
     theta0,
     theta1,
 )
+from families import FAMILY_BASES, perturbed
 
 CFG150 = SolverConfig(grid_points=150, scan_points=120)
 CFG400 = SolverConfig(grid_points=400, scan_points=300)
@@ -381,44 +382,8 @@ def test_criterion_10_batch_solves_clean(fig5a_tight, fig7c_params, appk_params)
 # 11. perturbed presets of every utility x type-distribution family
 # ---------------------------------------------------------------------------
 
-# the 12 presets and the two alpha-fair ones with mu = 0: together they
-# cover the eight utility x type-distribution families
-_FAMILY_BASES = [(name, False) for name in PRESETS] + [("fig5b", True), ("fig7b", True)]
-
-
-def _perturbed(name: str, mu0: bool, scales, share: float) -> MarketParams:
-    """The preset's market with each parameter scaled by the next factor
-    of `scales`, at capacity D(0) + share (top - D(0)); top keeps the
-    preset's ratio of its top capacity to D(0), at least 1.05."""
-    pre = PRESETS[name]
-    s = iter(scales)
-    utility = pre.utility
-    if isinstance(utility, AlphaFairUtility):
-        alpha = min(utility.alpha * next(s), 0.95)
-        mu = 0.0 if mu0 else utility.mu * next(s)
-        utility = AlphaFairUtility(alpha=alpha, mu=mu)
-    elif isinstance(utility, ExpUtility):
-        utility = ExpUtility(gamma=utility.gamma * next(s))
-    dist = pre.dist
-    if isinstance(dist, UniformTypes):
-        dist = UniformTypes(dist.theta_max * next(s))
-    else:
-        dist = TruncatedNormalTypes(
-            mean=dist.mean * next(s), sd=dist.sd * next(s), lo=dist.lo, hi=dist.hi * next(s)
-        )
-    top = pre.sweep_to if pre.sweep_to is not None else pre.fixed_c
-    ratio = top / replace(pre.params(), utility=utility).baseline_demand()
-    base = MarketParams(
-        N=pre.N * next(s), F=pre.F * next(s), Q=pre.Q * next(s), phi=pre.phi * next(s),
-        K=pre.K * next(s), A=pre.A * next(s), B=pre.B * next(s), C=math.inf,
-        utility=utility, dist=dist,
-    )
-    d0 = base.baseline_demand()
-    return replace(base, C=d0 + share * (max(ratio, 1.05) - 1.0) * d0)
-
-
 @given(
-    base=st.sampled_from(_FAMILY_BASES),
+    base=st.sampled_from(FAMILY_BASES),
     # log-uniform factors within 10 %
     logs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=12, max_size=12),
     share=st.floats(min_value=0.0, max_value=1.0),
@@ -426,7 +391,7 @@ def _perturbed(name: str, mu0: bool, scales, share: float) -> MarketParams:
 @settings(max_examples=40, deadline=None)
 def test_criterion_11_perturbed_families(base, logs, share):
     try:
-        p = _perturbed(*base, [math.exp(v) for v in logs], share)
+        p = perturbed(*base, [math.exp(v) for v in logs], share)
     except ScenarioError:
         reject()
     outs = {scheme: solve(p, scheme, CFG150) for scheme in Scheme}

@@ -128,6 +128,24 @@ def test_reproduce_fixed_capacity_preset(capsys):
     assert len({r[0] for r in rows}) == 1  # single capacity
 
 
+def test_reproduce_scalar_demand_budget(monkeypatch, capsys):
+    # the feasible-boundary and D^-1(C) bisections decide most midpoints
+    # from earlier evaluations: fig5a at --grid 150 took 2 062 scalar
+    # demand calls when every midpoint was evaluated, and takes 931 now
+    import datarewards.solver as solver_mod
+
+    orig, calls = solver_mod.demand, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return orig(*args)
+
+    monkeypatch.setattr(solver_mod, "demand", counted)
+    code, _, _ = _run(capsys, ["reproduce", "fig5a", "--grid", "150"])
+    assert code == 0
+    assert len(calls) <= 1000
+
+
 def test_argparse_error_leaves_the_parser_reusable(capsys):
     argv = ["reproduce", "appK", "--grid", "150"]
     _, first, _ = _run(capsys, argv)

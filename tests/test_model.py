@@ -32,6 +32,7 @@ from datarewards.users import (
     x_watch_alone,
     x_watch_subscriber,
 )
+from families import narrow_normals
 
 ALL_UTILITIES = [
     LogUtility(),
@@ -255,19 +256,6 @@ _QUAD_DISTS = [
 ]
 
 
-@st.composite
-def _narrow_normals(draw) -> TruncatedNormalTypes:
-    """Truncated normals on [lo, 150] with sd from 1/200 to 1/10 of the
-    support's width and the mean within 5 sd of the support."""
-    lo = draw(st.sampled_from([0.0, 20.0]))
-    width = 150.0 - lo
-    sd = width * 10.0 ** draw(st.floats(min_value=-2.3, max_value=-1.0))
-    shift = draw(st.floats(min_value=0.0, max_value=1.0))
-    return TruncatedNormalTypes(
-        mean=lo - 5.0 * sd + shift * (width + 10.0 * sd), sd=sd, lo=lo, hi=150.0
-    )
-
-
 def _quad_params(u, dist, fee: float) -> MarketParams:
     """A market of the given families; the fee is lowered where needed
     to keep theta_max above u'(0) F / (u'(Q) u(Q)), as with small mu."""
@@ -318,7 +306,7 @@ def _segment_moments_match_quad(params, w, scheme) -> list:
 
 @given(
     u=st.sampled_from(_QUAD_UTILITIES),
-    dist=st.one_of(st.sampled_from(_QUAD_DISTS), _narrow_normals()),
+    dist=st.one_of(st.sampled_from(_QUAD_DISTS), narrow_normals()),
     scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
     w_rel=st.floats(min_value=1e-3, max_value=2.0),
 )

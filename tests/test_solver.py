@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import datarewards.admarket as admarket_mod
+import datarewards.solver as solver_mod
 import datarewards.users as users_mod
 from datarewards import (
     AlphaFairUtility,
@@ -16,6 +17,7 @@ from datarewards import (
     InternalConsistencyError,
     LogUtility,
     MarketParams,
+    ScenarioError,
     Scheme,
     SolverConfig,
     TruncatedNormalTypes,
@@ -46,6 +48,7 @@ from datarewards.users import (
     root_resolution,
     thresholds,
 )
+from families import FAMILY_BASES, narrow_normals, perturbed
 
 FAST = SolverConfig(grid_points=300, scan_points=200)
 
@@ -269,19 +272,6 @@ _GRID_DISTS = [
 ]
 
 
-@st.composite
-def _narrow_normals(draw) -> TruncatedNormalTypes:
-    """Truncated normals on [lo, 150] with sd from 1/200 to 1/10 of the
-    support's width and the mean within 5 sd of the support."""
-    lo = draw(st.sampled_from([0.0, 20.0]))
-    width = 150.0 - lo
-    sd = width * 10.0 ** draw(st.floats(min_value=-2.3, max_value=-1.0))
-    shift = draw(st.floats(min_value=0.0, max_value=1.0))
-    return TruncatedNormalTypes(
-        mean=lo - 5.0 * sd + shift * (width + 10.0 * sd), sd=sd, lo=lo, hi=150.0
-    )
-
-
 def _grid_params(u, dist, fee: float) -> MarketParams:
     """A market of the given families; the fee is lowered where needed
     to keep theta_max above u'(0) F / (u'(Q) u(Q))."""
@@ -300,7 +290,7 @@ def _close(got, want) -> bool:
 
 @given(
     u=st.sampled_from(_GRID_UTILITIES),
-    dist=st.one_of(st.sampled_from(_GRID_DISTS), _narrow_normals()),
+    dist=st.one_of(st.sampled_from(_GRID_DISTS), narrow_normals()),
     scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
     fee=st.sampled_from([30.0, 10.0, 0.01]),
     w_rel=st.lists(st.floats(min_value=1e-6, max_value=3.0), max_size=12),
@@ -353,7 +343,7 @@ _INTERLEAVED = [[(k + j / 7) / 60 for k in range(150)] for j in range(6)]
 
 @given(
     u=st.sampled_from(_GRID_UTILITIES),
-    dist=st.one_of(st.sampled_from(_GRID_DISTS), _narrow_normals()),
+    dist=st.one_of(st.sampled_from(_GRID_DISTS), narrow_normals()),
     scheme=st.sampled_from([Scheme.SAR, Scheme.SUR]),
     fee=st.sampled_from([30.0, 10.0, 0.01]),
     parts=st.lists(
@@ -534,6 +524,144 @@ def test_inverted_interval_rejected():
 def test_many_intervals_warn():
     with pytest.warns(UserWarning, match="intervals"):
         FeasibleRegion(intervals=((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)))
+
+
+# ---------------------------------------------------------------------------
+# the boundary and D^-1(C) bisections against plain bisection
+# ---------------------------------------------------------------------------
+
+
+def _plain_demand_inverse(params, c, sar_demand):
+    """`solver._demand_inverse` by plain bisection, evaluating demand at
+    every midpoint; None where it finds no reward in the band."""
+    lo = case_bound_a(params)
+    d_lo = sar_demand(lo)
+    if c <= d_lo * (1.0 + 1e-12):
+        return lo
+    hi = solver_mod._double_until(sar_demand, 2.0 * lo, c)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        d_mid = sar_demand(mid)
+        if abs(d_mid - c) <= 1e-6 * c:
+            return mid
+        if d_mid < c:
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
+def _plain_intervals(c, cap, grid, demands, sur_demand):
+    """`solver._intervals` by plain bisection of each boundary's scan
+    cell, evaluating demand at every midpoint."""
+    feas = demands <= c
+    feas[0] = True
+
+    def refine(w_feas, w_infeas):
+        for _ in range(80):
+            mid = 0.5 * (w_feas + w_infeas)
+            if abs(w_infeas - w_feas) <= 1e-10 * max(cap, 1.0):
+                break
+            if sur_demand(mid) <= c:
+                w_feas = mid
+            else:
+                w_infeas = mid
+        return w_feas
+
+    intervals = []
+    i, n = 0, len(grid)
+    while i < n:
+        if not feas[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and feas[j + 1]:
+            j += 1
+        lo = refine(grid[i], grid[i - 1]) if i > 0 else grid[i]
+        hi = refine(grid[j], grid[j + 1]) if j + 1 < n else grid[j]
+        intervals.append((float(lo), float(hi)))
+        i = j + 1
+    return FeasibleRegion(intervals=tuple(intervals))
+
+
+def _recorded(params, scheme):
+    """Scalar demand, memoized in a dict that keeps every evaluation."""
+    seen: dict[float, float] = {}
+
+    def demand_at(w):
+        if w not in seen:
+            seen[w] = demand(params, w, scheme)
+        return seen[w]
+
+    return demand_at, seen
+
+
+def _sides_along(seen, lo, hi, side) -> list[int]:
+    """side(D) at the rewards evaluated in [lo, hi], in ascending order."""
+    return [side(seen[w]) for w in sorted(seen) if lo <= w <= hi]
+
+
+@given(
+    base=st.sampled_from(FAMILY_BASES),
+    logs=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=12, max_size=12),
+    shares=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    dist=st.one_of(st.none(), narrow_normals()),
+)
+@settings(max_examples=60, deadline=None)
+def test_bisection_phases_equal_plain_bisection(base, logs, shares, dist):
+    # markets drawn as in acceptance criterion 11, some on a narrow
+    # truncated normal. Each phase must equal plain bisection exactly
+    # wherever demand is monotone between the rewards either evaluated;
+    # where they differ, demand must be seen to cross back (near a
+    # tangency SUR demand wobbles by about 1e-10 relative, the
+    # resolution of theta4, and crosses C many times within 1e-9)
+    try:
+        markets = [perturbed(*base, [math.exp(v) for v in logs], s, dist) for s in shares]
+    except ScenarioError:
+        reject()
+    p = markets[0]
+    sar_demand, sar_seen = _recorded(p, Scheme.SAR)
+    sur_demand, sur_seen = _recorded(p, Scheme.SUR)
+    breaks = [case_bound_a(p), case_bound_b_sur(p), case_bound_d(p)]
+    for c in (m.C for m in markets):
+        want = _plain_demand_inverse(p, c, sar_demand)
+        if want is None:
+            with pytest.raises(InternalConsistencyError, match="200 halvings"):
+                solver_mod._demand_inverse(p, c, sar_demand)
+        else:
+            got = solver_mod._demand_inverse(p, c, sar_demand)
+            if got != want:
+                # the band sides -1, 0, +1 must fail to rise with the reward
+                sides = _sides_along(sar_seen, 0.0, math.inf, lambda d: (
+                    0 if abs(d - c) <= 1e-6 * c else -1 if d < c else 1))
+                assert sides != sorted(sides), (got, want)
+        cap = solver_mod._omega_cap(p, c, sur_demand)
+        grid = solver_mod._grid_with_breakpoints(0.0, cap, 120, breaks)
+        demands = evaluate_point(p, grid, Scheme.SUR).demand
+        got = solver_mod._intervals(c, cap, grid, demands, sur_demand).intervals
+        want = _plain_intervals(c, cap, grid, demands, sur_demand).intervals
+        assert len(got) == len(want)
+        for end, want_end in zip(np.ravel(got), np.ravel(want)):
+            if end != want_end:
+                # the scan cell of this boundary: D <= C must flip more
+                # than once along the rewards evaluated in it
+                k = int(np.searchsorted(grid, want_end, side="right"))
+                sides = _sides_along(sur_seen, grid[k - 1], grid[k], lambda d: d <= c)
+                assert sum(a != b for a, b in zip(sides, sides[1:])) > 1, (end, want_end)
+
+
+def test_demand_inverse_raises_when_demand_jumps_across_the_band(monkeypatch):
+    # a demand that steps from D(0) to 2C: no reward meets C within
+    # 1e-6, so 200 halvings end without an answer
+    p = _log_uniform()
+    d0, step = p.baseline_demand(), 3.0 * case_bound_a(p)
+    monkeypatch.setattr(
+        solver_mod, "demand", lambda params, w, scheme: d0 if w < step else 2.0 * p.C
+    )
+    with pytest.raises(InternalConsistencyError, match="200 halvings") as err:
+        demand_inverse(p)
+    assert f"C={p.C!r}" in str(err.value)
+    assert f"={d0!r}" in str(err.value) and f"={2.0 * p.C!r}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

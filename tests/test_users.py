@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import datarewards.users as users_mod
 from datarewards import (
     AlphaFairUtility,
+    DomainError,
     ExpUtility,
     InternalConsistencyError,
     LogUtility,
@@ -19,6 +21,8 @@ from datarewards import (
     best_response_sur,
     classify_sar,
     classify_sur,
+    demand,
+    evaluate_point,
     solve_theta2,
     solve_theta4,
 )
@@ -26,6 +30,7 @@ from datarewards.numerics import newton_root, newton_roots
 from datarewards.oracle import oracle_user_br, user_payoff
 from datarewards.presets import PRESETS
 from datarewards.users import (
+    MIN_REWARD,
     case_bound_a,
     case_bound_b_sar,
     case_bound_b_sur,
@@ -189,6 +194,34 @@ def test_infinite_marginal_small_reward_matches_oracle(p):
             my_payoff = user_payoff(p, float(theta), mine.r, mine.x, w)
             scale = max(abs(grid_payoff), abs(my_payoff), 1.0)
             assert my_payoff >= grid_payoff - 1e-8 * scale
+
+
+# alpha-fair markets with mu = 0 and mu = 0.3; the second has u'(Q) < 1/2,
+# so w u'(Q) rounds to 0 at w = 5e-324
+_TINY_REWARD_MARKETS = [
+    _mk(AlphaFairUtility(alpha=0.5, mu=0.0), UniformTypes(155.0), C=1e12),
+    _mk(AlphaFairUtility(alpha=0.9, mu=0.3), UniformTypes(155.0), Q=2.0, C=1e12),
+]
+
+
+@pytest.mark.parametrize("p", _TINY_REWARD_MARKETS, ids=["mu0", "mu0.3"])
+@pytest.mark.parametrize("w", [5e-324, 2.2e-309])
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+def test_subnormal_reward_names_the_smallest_supported_one(p, w, scheme):
+    # phi / (w u') overflows below MIN_REWARD: the partition raised
+    # DomainError, NumericalError or ZeroDivisionError by market
+    aware = scheme is Scheme.SAR
+    smallest = re.escape(repr(MIN_REWARD))
+    with pytest.raises(DomainError, match=smallest):
+        thresholds(p, w, scheme_aware=aware)
+    with pytest.raises(DomainError, match=smallest):
+        evaluate_point(p, w, scheme)
+    with pytest.raises(DomainError, match=smallest):
+        thresholds(p, np.array([0.0, MIN_REWARD, w]), scheme_aware=aware)
+    # the smallest supported reward leaves demand at its zero-reward level
+    assert demand(p, MIN_REWARD, scheme) == pytest.approx(p.baseline_demand(), rel=1e-9)
+    part = thresholds(p, np.array([0.0, MIN_REWARD]), scheme_aware=aware)
+    assert part.cutoff[1] == pytest.approx(theta0(p), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
