@@ -23,6 +23,7 @@ from .errors import (
     InternalConsistencyError,
     NumericalError,
     ScenarioError,
+    ScenarioParseError,
     UnboundedSearchError,
 )
 from .model import (
@@ -48,7 +49,6 @@ from .oracle import (
     oracle_user_br,
 )
 from .solver import (
-    FeasibleRegion,
     OperatorOutcome,
     SolverConfig,
     check_theorem2,

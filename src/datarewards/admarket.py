@@ -43,7 +43,6 @@ class AdMarketStats:
     n_ad: float
     ey: float
     ey2: float
-    user_class: UserClass = UserClass.ALL
 
 
 ZERO_STATS = AdMarketStats(n_ad=0.0, ey=0.0, ey2=0.0)
@@ -97,9 +96,7 @@ def watch_moments(
     )
 
 
-def _stats(
-    params: MarketParams, pool: WatchMoments, user_class: UserClass = UserClass.ALL
-) -> AdMarketStats:
+def _stats(params: MarketParams, pool: WatchMoments) -> AdMarketStats:
     """Watcher mass and ad-count moments of one pool of watchers."""
     if isinstance(pool.mass, np.ndarray):
         watched = pool.mass > 0.0
@@ -108,15 +105,13 @@ def _stats(
             n_ad=np.where(watched, params.N * pool.mass, 0.0),
             ey=np.where(watched, pool.ex / denom, 0.0),
             ey2=np.where(watched, pool.ex2 / denom, 0.0),
-            user_class=user_class,
         )
     if pool.mass <= 0.0:
-        return AdMarketStats(0.0, 0.0, 0.0, user_class)
+        return ZERO_STATS
     return AdMarketStats(
         n_ad=params.N * pool.mass,
         ey=pool.ex / pool.mass,
         ey2=pool.ex2 / pool.mass,
-        user_class=user_class,
     )
 
 
@@ -131,7 +126,7 @@ def ad_stats(
         raise DomainError("per-class stats only apply to the differentiated scheme")
     sub, alone = watch_moments(params, thresholds(params, w, scheme is Scheme.SAR))
     pool = {UserClass.SUBSCRIBERS: sub, UserClass.NON_SUBSCRIBERS: alone}
-    return _stats(params, pool.get(user_class, sub + alone), user_class)
+    return _stats(params, pool.get(user_class, sub + alone))
 
 
 def advertiser_best_response(stats: AdMarketStats, params: MarketParams, p):

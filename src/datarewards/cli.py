@@ -21,7 +21,7 @@ from .admarket import (
     advertiser_best_response,
     optimal_price,
 )
-from .errors import DataRewardsError, ScenarioError
+from .errors import DataRewardsError, ScenarioError, ScenarioParseError
 from .model import MarketParams, Scheme, load_scenario
 from .oracle import oracle_adv_br, oracle_user_br, user_payoff
 from .presets import PRESETS
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
+    def add_common(p):
+        p.add_argument("--scenario", required=True,
                        help="path to a JSON scenario file")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--grid", type=int, default=None,
@@ -350,12 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
+    except ScenarioParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     except ScenarioError as exc:
-        message = str(exc)
-        if "cannot parse" in message:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        print(f"error: invalid scenario: {message}", file=sys.stderr)
+        print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except DataRewardsError as exc:
         print(f"error: {exc}", file=sys.stderr)

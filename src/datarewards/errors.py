@@ -13,6 +13,10 @@ class ScenarioError(DataRewardsError, ValueError):
     """A scenario file or parameter set fails load-time validation."""
 
 
+class ScenarioParseError(ScenarioError):
+    """A scenario file cannot be read as JSON text."""
+
+
 class NumericalError(DataRewardsError, RuntimeError):
     """A numerical routine failed to converge or met a non-finite value."""
 

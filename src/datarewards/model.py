@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ScenarioError
+from .errors import DomainError, NumericalError, ScenarioError, ScenarioParseError
 
 
 class Scheme(Enum):
@@ -706,8 +706,8 @@ def load_scenario(path: str) -> MarketParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ScenarioParseError(f"cannot parse scenario file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario file {path} must hold a mapping")
     return params_from_dict(doc)

@@ -163,6 +163,8 @@ _BLOCK_ENTRIES = 1 << 13
 # Passes of 16384 rows took up to a tenth longer per solve, and a whole
 # scan of the default grid in one pass peaked at 200 MB
 _SCAN_ROWS = 1 << 12
+# zoomed re-scans of the best reward cell after `oracle_stage1`'s full scan
+_REFINE_ROUNDS = 3
 
 
 def _windowed_argmax(
@@ -369,7 +371,6 @@ def oracle_stage1(
     params: MarketParams,
     scheme: Scheme,
     market: DiscretizedMarket | None = None,
-    refine_rounds: int = 3,
 ) -> OperatorOutcome:
     """Exhaustive reward/price grid search on the discretized market.
 
@@ -378,7 +379,7 @@ def oracle_stage1(
     classes, so the exhaustive 2-D price search reduces to two
     independent 1-D maximizations on the same grid. After the full
     scan, the reward grid is re-run zoomed into the best cell
-    (`refine_rounds` times): revenue can climb steeply toward a cell
+    (`_REFINE_ROUNDS` times): revenue can climb steeply toward a cell
     edge, and zooming resolves that without any analytic shortcuts.
     Rewards are evaluated in array passes over consecutive rewards of a
     scan, each holding at most `_SCAN_ROWS` (reward, type) pairs: one
@@ -451,7 +452,7 @@ def oracle_stage1(
     if best is None:
         raise DomainError("no feasible reward found on the oracle grid")
     step = w_hi / (market.n_omega - 1)
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         scan(max(best["w"] - step, 0.0), best["w"] + step)
         step *= 2.0 / (market.n_omega - 1)
     p_star, p_i, p_ii = best["prices"]

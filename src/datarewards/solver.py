@@ -4,15 +4,17 @@ slot price(s) under a network capacity constraint.
 The aware scheme has a single feasible reward interval [0, D^-1(C)]
 because demand only grows with the reward. The unaware schemes can
 have a fragmented feasible set (demand may dip when higher rewards
-push users off their data plans), so the solver scans demand, refines
-the interval endpoints, and optimizes revenue per interval with a
-dense grid followed by golden-section refinement. Revenue is
-discontinuous at the reward level phi*Q/F where subscribing stops
-paying at all, so that point always splits intervals.
+push users off their data plans), so the solver scans demand, takes
+each run of feasible scan points as an interval (lo, hi), refines its
+ends, and optimizes revenue per interval with a dense grid followed by
+golden-section refinement. Revenue is discontinuous at the reward
+level q = phi*Q/F where subscribing stops paying at all, so an
+interval with lo < q <= hi is split into [lo, q (1 - 1e-9)] and
+[q, hi].
 
 One search (`_solve_family`) serves every scheme: it takes each
 market's feasible reward pieces, the aware [0, D^-1(C)] or the unaware
-region split at phi*Q/F, and maximizes each scheme's revenue over them.
+intervals split at phi*Q/F, and maximizes each scheme's revenue over them.
 It solves one scheme family at a time, SAR alone or SUR and SURD
 together, since those two share demand, thresholds and feasible region.
 
@@ -46,7 +48,6 @@ the rewards are batched.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
@@ -132,24 +133,6 @@ class OperatorOutcome:
             "case": self.case_label,
             "capacity_binding": self.capacity_binding,
         }
-
-
-@dataclass(frozen=True)
-class FeasibleRegion:
-    """Reward intervals on which demand stays within capacity."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for (a, b) in self.intervals:
-            if b < a:
-                raise InternalConsistencyError(f"inverted interval [{a}, {b}]")
-        if len(self.intervals) > 3:
-            warnings.warn(
-                f"feasible region has {len(self.intervals)} intervals; "
-                "more than three is unusual",
-                stacklevel=2,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +299,9 @@ def _evaluate_grids(
     out: list[PointEval] = []
     i = 0
     while i < len(grids):
-        j = i + 1
-        while j < len(grids) and sum(sizes[i:j + 1]) <= _PASS_REWARDS:
+        j, total = i + 1, sizes[i]
+        while j < len(grids) and total + sizes[j] <= _PASS_REWARDS:
+            total += sizes[j]
             j += 1
         evals = evaluate_point(params, np.concatenate(grids[i:j]), scheme)
         ends = np.cumsum(sizes[i:j])
@@ -395,8 +379,10 @@ def _grid_with_breakpoints(a: float, b: float, n: int, breaks: list[float]) -> n
 
 def _intervals(
     c: float, cap: float, grid: np.ndarray, demands: np.ndarray, sur_demand
-) -> FeasibleRegion:
-    """The feasible region at capacity c from its scan of [0, cap]."""
+) -> tuple[tuple[float, float], ...]:
+    """The feasible reward intervals at capacity c from its scan of
+    [0, cap]: each run of feasible scan points, its ends moved to the
+    boundaries in the neighbouring scan cells."""
     # the zero reward is feasible within the tolerance MarketParams
     # grants the capacity below D(0)
     if demands[0] * (1.0 - CAPACITY_RTOL) > c:
@@ -415,30 +401,22 @@ def _intervals(
         )
         return w_feas
 
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if not feas[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and feas[j + 1]:
-            j += 1
-        lo = grid[i]
-        hi = grid[j]
-        if i > 0:
-            lo = refine(i, i - 1)
-        if j + 1 < n:
-            hi = refine(j, j + 1)
+    # each run of feasible scan points starts where the flags rise and
+    # ends before they fall
+    flips = np.diff(np.concatenate(([0], feas, [0])))
+    intervals = []
+    for i, j in zip(np.flatnonzero(flips > 0), np.flatnonzero(flips < 0) - 1):
+        lo = refine(i, i - 1) if i > 0 else grid[i]
+        hi = refine(j, j + 1) if j + 1 < len(grid) else grid[j]
+        if hi < lo:
+            raise InternalConsistencyError(f"inverted interval [{lo}, {hi}]")
         intervals.append((float(lo), float(hi)))
-        i = j + 1
-    return FeasibleRegion(intervals=tuple(intervals))
+    return tuple(intervals)
 
 
 def _feasible_regions(
     params: MarketParams, capacities: list[float], config: SolverConfig, sur_demand
-) -> list[FeasibleRegion]:
+) -> list[tuple[tuple[float, float], ...]]:
     """`feasible_region` at each capacity, from one scan pass over the
     distinct scan grids: capacities with the same search end share one."""
     breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
@@ -456,8 +434,9 @@ def _feasible_regions(
 
 def feasible_region(
     params: MarketParams, config: SolverConfig = DEFAULT_CONFIG
-) -> FeasibleRegion:
-    """Reward intervals where unaware-scheme demand fits the capacity.
+) -> tuple[tuple[float, float], ...]:
+    """Reward intervals (lo, hi) where unaware-scheme demand fits the
+    capacity, in ascending order.
 
     Scans demand on a dense grid, then sharpens every feasibility flip
     by bisection, keeping the feasible side of each boundary.
@@ -484,27 +463,6 @@ def _check_band_monotone(
         )
 
 
-def _split_at_discontinuity(
-    intervals: tuple[tuple[float, float], ...], q: float
-) -> list[tuple[float, float]]:
-    """Split intervals at the subscription-collapse reward q = phi*Q/F.
-
-    Revenue jumps there; the high-reward-side formulas apply at the
-    point itself, so the left piece stops just short of q.
-    """
-    out: list[tuple[float, float]] = []
-    for a, b in intervals:
-        if a < q < b:
-            out.append((a, q * (1.0 - 1e-9)))
-            out.append((q, b))
-        elif b == q:
-            out.append((a, q * (1.0 - 1e-9)))
-            out.append((q, q))
-        else:
-            out.append((a, b))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The stage-I search
 # ---------------------------------------------------------------------------
@@ -527,8 +485,11 @@ def _feasible_pieces(
 ) -> tuple[list[list[tuple[float, float]]], list[float]]:
     """The reward pieces to search at each market, and the case bounds
     that every grid on them holds. Aware demand only grows with the
-    reward, so its one piece is [0, D^-1(C)]; the unaware feasible region
-    is split at phi*Q/F, where revenue jumps."""
+    reward, so its one piece is [0, D^-1(C)]. The unaware feasible
+    intervals are split at q = phi*Q/F, where revenue jumps: one with
+    a < q <= b becomes [a, q (1 - 1e-9)] and [q, b], since the
+    high-reward side's formulas apply at q itself, and a piece the cut
+    leaves empty is dropped."""
     if family[0] is Scheme.SAR:
         sar_demand = _demand_at(params, Scheme.SAR)
         pieces = [[(0.0, _demand_inverse(params, m.C, sar_demand))] for m in markets]
@@ -537,7 +498,12 @@ def _feasible_pieces(
     regions = _feasible_regions(params, [m.C for m in markets], config, sur_demand)
     q = case_bound_d(params)
     pieces = [
-        [(a, b) for a, b in _split_at_discontinuity(region.intervals, q) if b >= a]
+        [
+            piece
+            for a, b in region
+            for piece in ([(a, q * (1.0 - 1e-9)), (q, b)] if a < q <= b else [(a, b)])
+            if piece[1] >= piece[0]
+        ]
         for region in regions
     ]
     return pieces, [case_bound_a(params), case_bound_b_sur(params)]
@@ -664,21 +630,17 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def check_theorem2(
-    params: MarketParams, omega_grid: np.ndarray | None = None
-) -> tuple[bool, float | None]:
+def check_theorem2(params: MarketParams) -> tuple[bool, float | None]:
     """Monotonicity of the two watcher aggregates that guarantee
     capacity exhaustion under the aware scheme.
 
     Checks that (E[y])^2/E[y^2] * N_ad and E[y] * N_ad both grow with
     the reward on a log-spaced grid; returns (holds, first bad reward).
     """
-    if omega_grid is None:
-        lo = case_bound_a(params) * (1.0 + 1e-9)
-        hi = _omega_cap(params, params.C, _demand_at(params, Scheme.SUR))
-        omega_grid = np.geomspace(lo, hi, 80)
+    lo = case_bound_a(params) * (1.0 + 1e-9)
+    hi = _omega_cap(params, params.C, _demand_at(params, Scheme.SUR))
     prev_a = prev_b = -math.inf
-    for w in omega_grid:
+    for w in np.geomspace(lo, hi, 80):
         stats = ad_stats(params, float(w), Scheme.SAR)
         a = (stats.ey**2 / stats.ey2 * stats.n_ad) if stats.ey2 > 0 else 0.0
         b = stats.ey * stats.n_ad

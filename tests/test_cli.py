@@ -215,6 +215,26 @@ def test_parse_error_exit_3(capsys, tmp_path):
     assert "cannot parse" in err
 
 
+def test_undecodable_file_exit_3(capsys, tmp_path):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, _, err = _run(capsys, ["solve", "--scenario", str(bad), "--scheme", "sar"])
+    assert code == 3
+    assert "cannot parse" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "cannot parse"])
+def test_malformed_value_exit_4_whatever_its_text(capsys, tmp_path, scenario_file, value):
+    # the exit code follows the error's type, not words in its message
+    doc = json.loads(open(scenario_file).read())
+    doc["N"] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["solve", "--scenario", str(bad), "--scheme", "sar"])
+    assert code == 4
+    assert "malformed scenario value" in err
+
+
 def test_invalid_scenario_exit_4(capsys, tmp_path, scenario_file):
     doc = json.loads(open(scenario_file).read())
     doc["C"] = 1.0  # below zero-reward demand

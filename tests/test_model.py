@@ -16,6 +16,7 @@ from datarewards import (
     MarketParams,
     NumericalError,
     ScenarioError,
+    ScenarioParseError,
     Scheme,
     TruncatedNormalTypes,
     UniformTypes,
@@ -577,7 +578,7 @@ def test_round_trip_preserves_all_utilities(tmp_path):
 def test_malformed_json_raises_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ScenarioError, match="cannot parse"):
+    with pytest.raises(ScenarioParseError, match="cannot parse"):
         load_scenario(str(path))
 
 

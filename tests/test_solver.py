@@ -36,7 +36,6 @@ from datarewards import (
 from datarewards.model import mass
 from datarewards.presets import PRESETS
 from datarewards.solver import (
-    FeasibleRegion,
     _check_band_monotone,
     evaluate_point,
 )
@@ -468,8 +467,9 @@ def test_demand_inverse_at_baseline_returns_knee(fig5a_params):
 
 def test_feasible_region_starts_at_zero(fig5a_params):
     region = feasible_region(fig5a_params, FAST)
-    assert region.intervals[0][0] == 0.0
-    for a, b in region.intervals:
+    assert isinstance(region, tuple)
+    assert region[0][0] == 0.0
+    for a, b in region:
         assert demand(fig5a_params, a, Scheme.SUR) <= fig5a_params.C * (1 + 1e-6)
         assert demand(fig5a_params, b, Scheme.SUR) <= fig5a_params.C * (1 + 1e-6)
 
@@ -478,7 +478,7 @@ def test_feasible_region_boundaries_sharp(fig5a_params):
     p = fig5a_params
     region = feasible_region(p, FAST)
     # just beyond a finite right endpoint, demand exceeds capacity
-    a, b = region.intervals[-1]
+    a, b = region[-1]
     assert demand(p, b * (1.0 + 1e-6), Scheme.SUR) > p.C
 
 
@@ -516,14 +516,57 @@ def test_zero_reward_beyond_tolerance_is_an_error():
         feasible_region(p, FAST)
 
 
-def test_inverted_interval_rejected():
-    with pytest.raises(InternalConsistencyError):
-        FeasibleRegion(intervals=((0.0, 1.0), (3.0, 2.0)))
+def test_inverted_interval_rejected(monkeypatch):
+    # one feasible scan point between two infeasible ones, and a broken
+    # boundary bisection that steps away from the infeasible end, so the
+    # interval's lower end lands above its upper end
+    grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    demands = np.array([1.0, 1.0, 5.0, 1.0, 5.0])
+    monkeypatch.setattr(
+        solver_mod, "monotone_bisect",
+        lambda f, w_feas, w_infeas, *args, **kw: (w_feas - 0.5 * (w_infeas - w_feas), 0, 0),
+    )
+    with pytest.raises(InternalConsistencyError, match=r"inverted interval \[3.5, 2.5\]"):
+        solver_mod._intervals(2.0, 4.0, grid, demands, lambda w: 0.0)
 
 
-def test_many_intervals_warn():
-    with pytest.warns(UserWarning, match="intervals"):
-        FeasibleRegion(intervals=((0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)))
+def _split_at_discontinuity(intervals, q):
+    """The collapse-reward split as three cases, kept as the reference
+    for `_feasible_pieces`' one rule."""
+    out = []
+    for a, b in intervals:
+        if a < q < b:
+            out.append((a, q * (1.0 - 1e-9)))
+            out.append((q, b))
+        elif b == q:
+            out.append((a, q * (1.0 - 1e-9)))
+            out.append((q, q))
+        else:
+            out.append((a, b))
+    return out
+
+
+def test_one_split_rule_equals_the_three_cases(fig5a_params, monkeypatch):
+    p = fig5a_params
+    q = case_bound_d(p)
+    cases = [
+        (0.0, 0.5 * q),  # below q
+        (1.5 * q, 2.0 * q),  # above q
+        (0.5 * q, 1.5 * q),  # containing q
+        (0.5 * q, q),  # ending at q
+        (q, 1.5 * q),  # starting at q
+        (q, q),  # the point q
+        (0.5 * q, q * (1.0 - 5e-10)),  # ending within 1e-9 q below q
+        (q * (1.0 - 5e-10), q),  # starting and ending within it
+        (q * (1.0 - 5e-10), 1.5 * q),
+    ]
+    monkeypatch.setattr(
+        solver_mod, "_feasible_regions", lambda params, cs, config, d: [cases]
+    )
+    pieces, _ = solver_mod._feasible_pieces(p, [p], (Scheme.SUR, Scheme.SURD), FAST)
+    want = [(a, b) for a, b in _split_at_discontinuity(cases, q) if b >= a]
+    assert pieces == [want]
+    assert (q, q) in want and (q * (1.0 - 5e-10), q) not in want
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +596,8 @@ def _plain_demand_inverse(params, c, sar_demand):
 
 def _plain_intervals(c, cap, grid, demands, sur_demand):
     """`solver._intervals` by plain bisection of each boundary's scan
-    cell, evaluating demand at every midpoint."""
+    cell, evaluating demand at every midpoint, with the runs of feasible
+    scan points found by walking the flags."""
     feas = demands <= c
     feas[0] = True
 
@@ -581,7 +625,7 @@ def _plain_intervals(c, cap, grid, demands, sur_demand):
         hi = refine(grid[j], grid[j + 1]) if j + 1 < n else grid[j]
         intervals.append((float(lo), float(hi)))
         i = j + 1
-    return FeasibleRegion(intervals=tuple(intervals))
+    return tuple(intervals)
 
 
 def _recorded(params, scheme):
@@ -638,8 +682,8 @@ def test_bisection_phases_equal_plain_bisection(base, logs, shares, dist):
         cap = solver_mod._omega_cap(p, c, sur_demand)
         grid = solver_mod._grid_with_breakpoints(0.0, cap, 120, breaks)
         demands = evaluate_point(p, grid, Scheme.SUR).demand
-        got = solver_mod._intervals(c, cap, grid, demands, sur_demand).intervals
-        want = _plain_intervals(c, cap, grid, demands, sur_demand).intervals
+        got = solver_mod._intervals(c, cap, grid, demands, sur_demand)
+        want = _plain_intervals(c, cap, grid, demands, sur_demand)
         assert len(got) == len(want)
         for end, want_end in zip(np.ravel(got), np.ravel(want)):
             if end != want_end:
@@ -662,6 +706,61 @@ def test_demand_inverse_raises_when_demand_jumps_across_the_band(monkeypatch):
         demand_inverse(p)
     assert f"C={p.C!r}" in str(err.value)
     assert f"={d0!r}" in str(err.value) and f"={2.0 * p.C!r}" in str(err.value)
+
+
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_runs_of_feasible_scan_points_equal_the_flag_walk(flags):
+    # demand linear within each scan cell, so both bisections agree and
+    # only the run detection can differ
+    grid = np.arange(len(flags), dtype=float)
+    demands = np.where(flags, 1.0, 3.0)
+    demands[0] = 1.0
+    sur_demand = lambda w: float(np.interp(w, grid, demands))  # noqa: E731
+    got = solver_mod._intervals(2.0, grid[-1], grid, demands, sur_demand)
+    assert got == _plain_intervals(2.0, grid[-1], grid, demands, sur_demand)
+
+
+def _old_passes(sizes, limit):
+    """The pass partition (first, end) of `_evaluate_grids`, found by
+    re-summing each candidate pass: the reference for its running total."""
+    passes, i = [], 0
+    while i < len(sizes):
+        j = i + 1
+        while j < len(sizes) and sum(sizes[i:j + 1]) <= limit:
+            j += 1
+        passes.append((i, j))
+        i = j
+    return passes
+
+
+@given(sizes=st.lists(st.integers(min_value=1, max_value=3 * solver_mod._PASS_REWARDS // 2),
+                      max_size=20))
+@example(sizes=[8192, 8192, 1, 16384, 1])  # passes that fill the limit exactly
+@example(sizes=[3, 20000, 4])  # a grid longer than the limit
+@settings(max_examples=100, deadline=None)
+def test_evaluate_grids_packs_the_passes_of_the_old_loop(sizes):
+    passes = []
+
+    class Evals:
+        def __init__(self, w):
+            self.w = w
+
+        def part(self, rows):
+            return self.w[rows]
+
+    def record(params, w, scheme):
+        passes.append(len(w))
+        return Evals(w)
+
+    grids = [np.full(n, float(k)) for k, n in enumerate(sizes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "evaluate_point", record)
+        out = solver_mod._evaluate_grids(None, grids, Scheme.SUR)
+    want = _old_passes(sizes, solver_mod._PASS_REWARDS)
+    assert passes == [sum(sizes[i:j]) for i, j in want]
+    assert len(out) == len(grids)
+    assert all(np.array_equal(a, b) for a, b in zip(out, grids))
 
 
 # ---------------------------------------------------------------------------
