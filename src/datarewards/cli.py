@@ -161,6 +161,8 @@ def cmd_thresholds(args) -> int:
     params = load_scenario(args.scenario)
     scheme = _parse_scheme(args.scheme)
     aware = scheme is Scheme.SAR
+    if not 1 <= args.steps <= 100_000:
+        raise ScenarioError("threshold dump steps must lie in [1, 100000]")
 
     if args.responses_at is not None:
         w = args.responses_at
@@ -251,6 +253,8 @@ def _verify_dominance(params: MarketParams) -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 1:
+        raise ScenarioError("verify needs --draws >= 1")
     if args.scenario:
         params = load_scenario(args.scenario)
     else:

@@ -3,6 +3,9 @@ the full parameter vector, and scenario (de)serialization.
 
 All types are frozen dataclasses; every operation is a pure function,
 so instances can be shared freely across threads and parallel sweeps.
+
+u_prime takes a float (stage II asks only for u'(Q)) and a density's
+pdf an array of types; u, inverse_marginal and mass take either.
 """
 
 from __future__ import annotations
@@ -75,11 +78,9 @@ class LogUtility:
             raise _argument_error(z)
         return math.log1p(z)
 
-    def u_prime(self, z):
-        """u'(z); z may be a float or an array."""
-        if isinstance(z, np.ndarray):
-            _check_arguments(z)
-        elif z < 0:
+    def u_prime(self, z: float) -> float:
+        """u'(z) at a float z."""
+        if z < 0:
             raise _argument_error(z)
         return 1.0 / (1.0 + z)
 
@@ -121,12 +122,8 @@ class AlphaFairUtility:
         a, mu = self.alpha, self.mu
         return ((z + mu) ** (1.0 - a) - mu ** (1.0 - a)) / (1.0 - a)
 
-    def u_prime(self, z):
-        """u'(z), +inf at z + mu = 0; z may be a float or an array."""
-        if isinstance(z, np.ndarray):
-            _check_arguments(z)
-            with np.errstate(divide="ignore"):
-                return (z + self.mu) ** (-self.alpha)
+    def u_prime(self, z: float) -> float:
+        """u'(z) at a float z, +inf at z + mu = 0."""
         if z < 0:
             raise _argument_error(z)
         if z + self.mu == 0.0:
@@ -165,11 +162,8 @@ class ExpUtility:
             raise _argument_error(z)
         return -math.expm1(-self.gamma * z)
 
-    def u_prime(self, z):
-        """u'(z); z may be a float or an array."""
-        if isinstance(z, np.ndarray):
-            _check_arguments(z)
-            return self.gamma * np.exp(-self.gamma * z)
+    def u_prime(self, z: float) -> float:
+        """u'(z) at a float z."""
         if z < 0:
             raise _argument_error(z)
         return self.gamma * math.exp(-self.gamma * z)
@@ -218,28 +212,18 @@ class UniformTypes:
         hi = np.minimum(hi, self.theta_max)
         return lo, hi, (hi > lo).astype(np.int64)
 
-    def pdf(self, theta):
-        """Density at theta; theta may be a float or an array."""
-        if isinstance(theta, np.ndarray):
-            inside = (theta >= 0.0) & (theta <= self.theta_max)
-            return np.where(inside, 1.0 / self.theta_max, 0.0)
-        if 0.0 <= theta <= self.theta_max:
-            return 1.0 / self.theta_max
-        return 0.0
-
-    def cdf(self, theta):
-        """CDF at theta; theta may be a float or an array."""
-        if isinstance(theta, np.ndarray):
-            return np.clip(theta / self.theta_max, 0.0, 1.0)
-        if theta <= 0.0:
-            return 0.0
-        if theta >= self.theta_max:
-            return 1.0
-        return theta / self.theta_max
+    def pdf(self, theta: np.ndarray) -> np.ndarray:
+        """Density at an array of types theta."""
+        inside = (theta >= 0.0) & (theta <= self.theta_max)
+        return np.where(inside, 1.0 / self.theta_max, 0.0)
 
     def mass(self, lo, hi):
-        """Probability of [lo, hi]; lo and hi may be floats or arrays."""
-        return self.cdf(hi) - self.cdf(lo)
+        """Probability of [lo, hi], the difference of the CDF clipped to
+        [0, 1] at its ends; lo and hi may be floats or arrays."""
+        a, b = lo / self.theta_max, hi / self.theta_max
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np.clip(b, 0.0, 1.0) - np.clip(a, 0.0, 1.0)
+        return (0.0 if b <= 0.0 else min(b, 1.0)) - (0.0 if a <= 0.0 else min(a, 1.0))
 
 
 @dataclass(frozen=True)
@@ -305,22 +289,12 @@ class TruncatedNormalTypes:
         n = np.ceil(0.5 * (hi - lo) / self.sd * np.maximum(z_far, 5.0) / 25.0)
         return lo, hi, np.where(hi > lo, n, 0.0).astype(np.int64)
 
-    def pdf(self, theta):
-        """Density at theta; theta may be a float or an array."""
-        if isinstance(theta, np.ndarray):
-            z = (theta - self.mean) / self.sd
-            phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            density = phi / (self.sd * self._mass)  # type: ignore[attr-defined]
-            return np.where((theta >= self.lo) & (theta <= self.hi), density, 0.0)
-        if theta < self.lo or theta > self.hi:
-            return 0.0
+    def pdf(self, theta: np.ndarray) -> np.ndarray:
+        """Density at an array of types theta."""
         z = (theta - self.mean) / self.sd
-        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return phi / (self.sd * self._mass)  # type: ignore[attr-defined]
-
-    def cdf(self, theta):
-        """CDF at theta; theta may be a float or an array."""
-        return self.mass(self.lo, theta)
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        density = phi / (self.sd * self._mass)  # type: ignore[attr-defined]
+        return np.where((theta >= self.lo) & (theta <= self.hi), density, 0.0)
 
     def mass(self, lo, hi):
         """Probability of [lo, hi]; lo and hi may be floats or arrays."""

@@ -7,7 +7,8 @@ from the side where f > 0 approach the root monotonically; the
 bisection takes the midpoints of a plain bisection, deciding most of
 them from points already evaluated; golden section maximizes a
 function unimodal on a bracketed cell. Each keeps a bracket, so
-robustness does not rest on the step.
+robustness does not rest on the step. The Newton and golden-section
+loops stop on their tolerance, or after _MAX_ITER steps at the latest.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import NumericalError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_MAX_ITER = 200  # Newton and golden-section steps; tolerances stop them first
 # evaluations `monotone_bisect` may make beyond the midpoints it has
 # taken; fewer cost evaluations on smooth demand, more gain nothing
 _SPARE_STEPS = 6
@@ -35,7 +37,6 @@ def newton_root(
     f_lo: float,
     f_hi: float,
     slope: float,
-    max_iter: int = 200,
 ) -> float:
     """Find the root of a convex f in [lo, hi] by bracketed Newton.
 
@@ -71,7 +72,7 @@ def newton_root(
         p, q, f_p, g = lo, hi, f_lo, 0.5 * xtol
     else:
         p, q, f_p, g = hi, lo, f_hi, -0.5 * xtol
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(q - p) <= xtol:
             break
         # the Newton step in units of g, inf at a zero slope
@@ -98,7 +99,6 @@ def newton_roots(
     f_lo: np.ndarray,
     f_hi: np.ndarray,
     slope: np.ndarray,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """`newton_root` for many brackets [lo[i], hi[i]] at once.
 
@@ -121,7 +121,7 @@ def newton_roots(
     f_p, d_p = np.where(start_lo, f_lo, f_hi), np.array(slope, dtype=float)
     g = np.where(start_lo, 0.5 * xtol, -0.5 * xtol)
     idx = np.flatnonzero(open_)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         pi, qi = p[idx], q[idx]
         done = np.abs(qi - pi) <= xtol
         root[idx[done]] = 0.5 * (pi[done] + qi[done])
@@ -153,7 +153,8 @@ def monotone_bisect(
     level: float,
     band: float | None = None,
     xtol: float | None = None,
-    max_iter: int = 200,
+    *,
+    max_iter: int,
 ) -> tuple[float, float, bool]:
     """Bisect from a, taken to lie where f <= level, toward b, taken to
     lie where f > level (a > b for a falling f), as the plain loop
@@ -293,8 +294,7 @@ def golden_max(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float = 1e-6,
-    max_iter: int = 200,
+    rel_tol: float,
 ) -> tuple[float, float]:
     """Maximize f on [a, b] by golden-section search.
 
@@ -310,7 +310,7 @@ def golden_max(
     c = a + _INVPHI2 * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:

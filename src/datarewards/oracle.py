@@ -38,9 +38,9 @@ class DiscretizedMarket:
 
     theta_grid: np.ndarray  # M valuation samples (midpoints)
     weights: np.ndarray  # g(theta_i) * dtheta, normalized to sum 1
-    n_x: int = 2001
-    n_omega: int = 400
-    n_p: int = 400
+    n_x: int
+    n_omega: int
+    n_p: int
 
     @classmethod
     def build(

@@ -94,13 +94,18 @@ MIN_REWARD = 1e-300
 
 
 def _check_reward(w) -> None:
-    """Raise DomainError at a reward in (0, MIN_REWARD)."""
-    tiny = (w > 0.0) & (w < MIN_REWARD)
-    if _any(tiny):
-        (w_,) = _first(tiny, w)
+    """Raise DomainError unless the reward w is 0 or lies in
+    [MIN_REWARD, inf), naming the first bad entry of an array: a
+    negative, NaN or infinite reward has no partition."""
+    if isinstance(w, np.ndarray):
+        bad = ~((w == 0.0) | ((w >= MIN_REWARD) & (w < math.inf)))
+    else:
+        bad = not (w == 0.0 or MIN_REWARD <= w < math.inf)
+    if _any(bad):
+        (w_,) = _first(bad, w)
         raise DomainError(
-            f"reward {w_!r} is below the smallest supported positive reward "
-            f"{MIN_REWARD!r}"
+            f"reward {w_!r} must be 0 or lie in [MIN_REWARD, inf) = "
+            f"[{MIN_REWARD!r}, inf)"
         )
 
 
@@ -423,8 +428,8 @@ def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
     stage-II quantity at w reads this one record.
 
     w may be a float or an array of rewards, whose case-C roots are
-    then found together (`solve_theta2` / `solve_theta4`). A reward in
-    (0, MIN_REWARD) raises DomainError.
+    then found together (`solve_theta2` / `solve_theta4`). A reward
+    that is neither 0 nor in [MIN_REWARD, inf) raises DomainError.
     """
     _check_reward(w)
     t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
@@ -459,6 +464,8 @@ def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
 def _best_response(
     params: MarketParams, theta: float, w: float, scheme_aware: bool
 ) -> UserDecision:
+    if not theta >= 0.0:
+        raise DomainError(f"user type must be >= 0, got {theta!r}")
     part = thresholds(params, w, scheme_aware)
     if theta >= part.cutoff:
         lo, hi = part.sub_watch

@@ -194,6 +194,35 @@ def test_responses_dump(capsys, scenario_file):
     assert {r[1] for r in rows} <= {"0", "1"}
 
 
+@pytest.mark.parametrize("steps", ["-1", "0", "100001"])
+@pytest.mark.parametrize("mode", [["--from", "0.001", "--to", "0.01"],
+                                  ["--responses-at", "0.009"]])
+def test_thresholds_steps_out_of_range_exit_4(capsys, scenario_file, mode, steps):
+    # -1 ended in a numpy traceback, 0 printed a header alone
+    code, out, err = _run(
+        capsys,
+        ["thresholds", "--scenario", scenario_file, "--scheme", "sur",
+         *mode, "--steps", steps],
+    )
+    assert code == 4
+    assert out == ""
+    assert "steps must lie in [1, 100000]" in err
+
+
+@pytest.mark.parametrize("scheme", ["sar", "sur"])
+@pytest.mark.parametrize("bad", [["--from", "-0.01", "--to", "0.01"],
+                                 ["--responses-at", "nan"]])
+def test_thresholds_invalid_reward_exit_4(capsys, scenario_file, scheme, bad):
+    code, out, err = _run(
+        capsys,
+        ["thresholds", "--scenario", scenario_file, "--scheme", scheme,
+         *bad, "--steps", "3"],
+    )
+    assert code == 4
+    assert out == ""
+    assert "reward" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
@@ -340,6 +369,17 @@ def test_verify_passes(capsys, scenario_file):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_verify_without_draws_exit_4(capsys, scenario_file, draws):
+    # no draws reported PASS with a gap of 0 without checking anything
+    code, out, err = _run(
+        capsys, ["verify", "--scenario", scenario_file, "--draws", draws]
+    )
+    assert code == 4
+    assert out == ""
+    assert "--draws >= 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def test_monotone_bisect_equals_plain_bisection(problem):
     plain_f, plain_seen = _counted(f)
     counted, seen = _counted(f)
     want = plain_bisect(plain_f, a, b, level, band, xtol, max_iter)
-    assert monotone_bisect(counted, a, b, f_a, f_b, level, band, xtol, max_iter) == want
+    assert monotone_bisect(counted, a, b, f_a, f_b, level, band, xtol,
+                           max_iter=max_iter) == want
     # every evaluation lies within the ends, and there are at most
     # _SPARE_STEPS + 2 more than the plain loop's
     assert all(min(a, b) <= x <= max(a, b) for x in seen)
@@ -113,7 +114,8 @@ def test_monotone_bisect_on_a_function_that_is_not_monotone(problem, noise):
         return g(x) + noise * (hash(x) % 5 - 2)
 
     counted, seen = _counted(f)
-    a, _, hit = monotone_bisect(counted, a0, b, f_a, f_b, level, band, xtol, max_iter)
+    a, _, hit = monotone_bisect(counted, a0, b, f_a, f_b, level, band, xtol,
+                                max_iter=max_iter)
     assert len(seen) <= max_iter + _SPARE_STEPS + 2
     if not hit:
         assert a == a0 or (a in seen and f(a) <= level)

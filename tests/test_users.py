@@ -17,6 +17,7 @@ from datarewards import (
     SurCase,
     TruncatedNormalTypes,
     UniformTypes,
+    UserDecision,
     best_response_sar,
     best_response_sur,
     classify_sar,
@@ -222,6 +223,48 @@ def test_subnormal_reward_names_the_smallest_supported_one(p, w, scheme):
     assert demand(p, MIN_REWARD, scheme) == pytest.approx(p.baseline_demand(), rel=1e-9)
     part = thresholds(p, np.array([0.0, MIN_REWARD]), scheme_aware=aware)
     assert part.cutoff[1] == pytest.approx(theta0(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("w", [math.nan, -0.01, -MIN_REWARD, math.inf, -math.inf])
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+def test_invalid_reward_is_named(w, scheme):
+    # on fig5a a NaN reward passed as case A with NaN demand, a negative
+    # one as the zero-reward outcome, and inf failed on u' = 0 without
+    # naming the reward
+    p = PRESETS["fig5a"].params(1.6e7)
+    aware = scheme is Scheme.SAR
+    named = re.escape(f"reward {w!r} ")
+    calls = [
+        lambda w: thresholds(p, w, scheme_aware=aware),
+        lambda w: demand(p, w, scheme),
+        lambda w: evaluate_point(p, w, scheme),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=named):
+            call(w)
+        # an array names its first bad entry
+        with pytest.raises(DomainError, match=named):
+            call(np.array([0.01, w, -1.0]))
+    # 0 and the smallest supported reward still evaluate, alone and in arrays
+    d0 = p.baseline_demand()
+    for ok in (0.0, MIN_REWARD):
+        assert demand(p, ok, scheme) == pytest.approx(d0, rel=1e-9)
+    both = evaluate_point(p, np.array([0.0, MIN_REWARD, 0.01]), scheme)
+    assert both.demand[:2] == pytest.approx([d0, d0], rel=1e-9)
+    assert both.demand[2] == evaluate_point(p, 0.01, scheme).demand
+
+
+@pytest.mark.parametrize("br", [best_response_sar, best_response_sur])
+def test_best_response_rejects_invalid_type_and_reward(br):
+    # these returned UserDecision(r=0, x=0.0)
+    p = PRESETS["fig5a"].params(1.6e7)
+    for theta in (math.nan, -3.0):
+        with pytest.raises(DomainError, match=re.escape(f"type must be >= 0, got {theta!r}")):
+            br(p, theta, 0.01)
+    with pytest.raises(DomainError, match="reward nan "):
+        br(p, 50.0, math.nan)
+    assert br(p, 0.0, 0.01) == UserDecision(r=0, x=0.0)
+    assert br(p, 50.0, 0.0).x == 0.0
 
 
 # ---------------------------------------------------------------------------
