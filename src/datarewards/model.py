@@ -63,6 +63,13 @@ def _check_marginal(s, up0: float = math.inf) -> None:
         raise DomainError(f"marginal utility {hi} exceeds u'(0) = {up0}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise ScenarioError naming the parameter unless 0 < value < inf
+    (NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ScenarioError(f"{name} must be > 0 and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LogUtility:
     """u(z) = ln(1 + z)."""
@@ -110,8 +117,8 @@ class AlphaFairUtility:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.mu < 0.0:
-            raise ScenarioError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ScenarioError(f"mu must be >= 0 and finite, got {self.mu}")
 
     def u(self, z):
         """u(z); z may be a float or an array."""
@@ -150,8 +157,7 @@ class ExpUtility:
     variant = "exponential"
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ScenarioError(f"gamma must be > 0, got {self.gamma}")
+        _check_positive("gamma", self.gamma)
 
     def u(self, z):
         """u(z); z may be a float or an array."""
@@ -195,8 +201,7 @@ class UniformTypes:
     variant = "uniform"
 
     def __post_init__(self) -> None:
-        if self.theta_max <= 0.0:
-            raise ScenarioError(f"theta_max must be > 0, got {self.theta_max}")
+        _check_positive("theta_max", self.theta_max)
 
     def panel_edges(self, lo: float, hi: float) -> list[float]:
         """[lo, hi] within the support as one quadrature panel: the
@@ -242,8 +247,11 @@ class TruncatedNormalTypes:
     variant = "truncated_normal"
 
     def __post_init__(self) -> None:
-        if self.sd <= 0.0:
-            raise ScenarioError(f"sd must be > 0, got {self.sd}")
+        for name in ("mean", "lo", "hi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value}")
+        _check_positive("sd", self.sd)
         if self.hi <= self.lo:
             raise ScenarioError(
                 f"truncation needs hi > lo, got [{self.lo}, {self.hi}]"
@@ -556,12 +564,12 @@ class MarketParams:
     dist: TypeDistribution
 
     def __post_init__(self) -> None:
-        for name in ("N", "F", "Q", "phi", "K", "B"):
-            if getattr(self, name) <= 0.0:
-                raise ScenarioError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.A <= 0.0:
-            # A = 0 would put a zero in every slot-demand denominator.
-            raise ScenarioError(f"A must be > 0, got {self.A}")
+        # A = 0 would put a zero in every slot-demand denominator
+        for name in ("N", "F", "Q", "phi", "K", "A", "B"):
+            _check_positive(name, getattr(self, name))
+        # C = inf stands for an unlimited network
+        if math.isnan(self.C):
+            raise ScenarioError("C must be a number, got nan")
 
         u = self.utility
         theta_max = self.dist.theta_max

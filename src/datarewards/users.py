@@ -13,10 +13,11 @@ theta2 and theta4 are roots of indifference equations h = 0 and v = 0.
 h and v are maxima over data levels of functions affine in theta (v
 less an affine term), hence convex in theta, and by the envelope
 theorem their slopes are u(level) and u(level) - u(Q), which their
-values compute anyway. They are solved by bracketed Newton
-(`numerics.newton_root`) to within half of `root_resolution` of the
-exact root. The bracketing sign conditions are structural guarantees
-and their violation raises InternalConsistencyError with diagnostics.
+values compute anyway. One routine, `_case_c_root`, solves both by
+bracketed Newton (`numerics.newton_root`; `newton_roots` for reward
+arrays) to within half of `root_resolution` of the exact root. The
+bracketing sign conditions are structural guarantees and their
+violation raises InternalConsistencyError with diagnostics.
 """
 
 from __future__ import annotations
@@ -206,12 +207,18 @@ def _x_level(params: MarketParams, theta, w: float):
     """Utility level (u')^{-1}(phi / (w theta)) the watcher tops up to.
 
     Returns 0 for theta = 0 (infinite marginal cost ratio). theta may
-    also be an array of positive types, such as quadrature nodes.
+    also be an array of types, such as quadrature nodes.
     """
     if isinstance(theta, np.ndarray):
-        return np.maximum(
-            params.utility.inverse_marginal(params.phi / (w * theta)), 0.0
-        )
+        # stage II passes theta = 0 in an array only as theta3 where
+        # u'(0) = inf, whose level at phi / (w 0) = inf is 0; np.errstate
+        # costs about 1.5 us a call, so other markets skip muting the warning
+        if math.isinf(params.utility.u_prime_zero):
+            with np.errstate(divide="ignore"):
+                ratio = params.phi / (w * theta)
+        else:
+            ratio = params.phi / (w * theta)
+        return np.maximum(params.utility.inverse_marginal(ratio), 0.0)
     if theta <= 0.0:
         return 0.0
     # clamp the rounding dust at segment endpoints (level = 0 or Q there)
@@ -278,15 +285,29 @@ def root_resolution(params: MarketParams) -> float:
     return 1e-10 * params.dist.theta_max
 
 
-def _bracketed_root(
-    params: MarketParams, f, lo, hi, f_lo, f_hi, slope, w, at_lo, at_hi
-):
-    """Root of the convex f(params, w)(theta) on [lo, hi]: lo where
-    at_lo, else hi where at_hi (a root degenerated to an endpoint
-    exactly at a case boundary), else found by bracketed Newton to
-    `root_resolution`, starting from the end where f > 0 with its slope
-    `slope`. Elementwise, by `newton_roots`, when w is an array; each
-    reward then takes the steps its scalar solve takes."""
+def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
+    """Root of the convex g(params, w)(theta) on [lo, hi] (lo < hi),
+    across which g rises (rising) or falls through 0: lo, or else hi,
+    where the root sits on that end (exactly at a case boundary), else
+    bracketed Newton from the end where g > 0 to `root_resolution`/2.
+    An end whose sign is off by more than 1e-9 F raises
+    InternalConsistencyError. Elementwise, by `newton_roots`, when w is
+    an array; each reward then takes the steps its scalar solve takes."""
+    f = g(params, w)
+    (f_lo, slope_lo), (f_hi, slope_hi) = f(lo), f(hi)
+    sign = 1.0 if rising else -1.0  # sign * g rises through 0
+    tol = 1e-9 * params.F
+    bad = (sign * f_lo >= tol) | (sign * f_hi <= -tol)
+    if _any(bad):
+        lo_, f_lo_, hi_, f_hi_, w_ = _first(bad, lo, f_lo, hi, f_hi, w)
+        name, trend = g.__name__.lstrip("_"), "rise" if rising else "fall"
+        raise InternalConsistencyError(
+            f"{what} root bracket failed: expected {name} to {trend} through 0 "
+            f"but {name}({lo_:.6g})={f_lo_:.6g}, {name}({hi_:.6g})={f_hi_:.6g} "
+            f"at w={w_:.6g}"
+        )
+    at_lo, at_hi = sign * f_lo >= 0.0, sign * f_hi <= 0.0
+    slope = slope_hi if rising else slope_lo
     xtol = root_resolution(params)
     if isinstance(w, np.ndarray):
         root = np.where(at_lo, lo, hi)
@@ -294,7 +315,7 @@ def _bracketed_root(
         if inner.any():
             w_in = w[inner]
             root[inner] = newton_roots(
-                lambda t, i: f(params, w_in[i])(t), lo[inner], hi[inner], xtol,
+                lambda t, i: g(params, w_in[i])(t), lo[inner], hi[inner], xtol,
                 f_lo[inner], f_hi[inner], slope[inner],
             )
         return root
@@ -302,7 +323,7 @@ def _bracketed_root(
         return lo
     if at_hi:
         return hi
-    return newton_root(f(params, w), lo, hi, xtol, f_lo, f_hi, slope)
+    return newton_root(f, lo, hi, xtol, f_lo, f_hi, slope)
 
 
 def solve_theta2(params: MarketParams, w):
@@ -321,21 +342,7 @@ def solve_theta2(params: MarketParams, w):
     t0, t1 = theta0(params), theta1(params, w)
     if isinstance(w, np.ndarray):
         t0 = np.full(len(w), t0)
-    h = _h(params, w)
-    h1, _ = h(t1)
-    h0, slope0 = h(t0)
-    tol = 1e-9 * params.F
-    bad = (h1 >= tol) | (h0 <= -tol)
-    if _any(bad):
-        t1_, h1_, t0_, h0_, w_ = _first(bad, t1, h1, t0, h0, w)
-        raise InternalConsistencyError(
-            "subscribe-iff-watching root bracket failed: expected "
-            f"h(theta1) < 0 < h(theta0) but h({t1_:.6g})={h1_:.6g}, "
-            f"h({t0_:.6g})={h0_:.6g} at w={w_:.6g}"
-        )
-    return _bracketed_root(
-        params, _h, t1, t0, h1, h0, slope0, w, h1 >= 0.0, h0 <= 0.0
-    )
+    return _case_c_root(params, _h, t1, t0, True, w, "subscribe-iff-watching")
 
 
 def solve_theta4(params: MarketParams, w):
@@ -355,29 +362,7 @@ def solve_theta4(params: MarketParams, w):
     then found together, each by the steps of its scalar solve.
     """
     t1, t3 = theta1(params, w), theta3(params, w)
-    # v = F at theta = 0, where nobody gains from watching (u'(0) = inf),
-    # with slope u(0) - u(Q) = -u(Q); the array v takes positive types
-    v = _v(params, w)
-    if isinstance(w, np.ndarray):
-        v3 = np.full(len(w), params.F)
-        slope3 = np.full(len(w), -params.utility.u(params.Q))
-        pos = t3 > 0.0
-        v3[pos], slope3[pos] = _v(params, w[pos])(t3[pos])
-    else:
-        v3, slope3 = v(t3)
-    v1, _ = v(t1)
-    tol = 1e-9 * params.F
-    bad = (v3 <= -tol) | (v1 >= tol)
-    if _any(bad):
-        t3_, v3_, t1_, v1_, w_ = _first(bad, t3, v3, t1, v1, w)
-        raise InternalConsistencyError(
-            "non-subscriber band root bracket failed: expected "
-            f"v(theta3) > 0 > v(theta1) but v({t3_:.6g})={v3_:.6g}, "
-            f"v({t1_:.6g})={v1_:.6g} at w={w_:.6g}"
-        )
-    root = _bracketed_root(
-        params, _v, t3, t1, v3, v1, slope3, w, v3 <= 0.0, v1 >= 0.0
-    )
+    root = _case_c_root(params, _v, t3, t1, False, w, "non-subscriber band")
     t0 = theta0(params)
     low = root <= t0 * (1.0 - 1e-9) - root_resolution(params)
     if _any(low):
@@ -464,8 +449,8 @@ def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
 def _best_response(
     params: MarketParams, theta: float, w: float, scheme_aware: bool
 ) -> UserDecision:
-    if not theta >= 0.0:
-        raise DomainError(f"user type must be >= 0, got {theta!r}")
+    if not 0.0 <= theta < math.inf:
+        raise DomainError(f"user type must be finite and >= 0, got {theta!r}")
     part = thresholds(params, w, scheme_aware)
     if theta >= part.cutoff:
         lo, hi = part.sub_watch

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,6 +273,27 @@ def test_invalid_scenario_exit_4(capsys, tmp_path, scenario_file):
     code, _, err = _run(capsys, ["solve", "--scenario", str(bad), "--scheme", "sar"])
     assert code == 4
     assert "invalid scenario" in err
+
+
+@pytest.mark.parametrize("field", ["A", "sd"])
+def test_nan_parameter_exit_4(capsys, tmp_path, scenario_file, field):
+    # NaN used to pass validation, and the solve then escaped main with
+    # a TypeError (A) or a ValueError (sd)
+    doc = json.loads(open(scenario_file).read())
+    if field == "sd":
+        doc["distribution"] = {"variant": "truncated_normal", "mean": 75.0,
+                               "sd": math.nan, "lo": 0.0, "hi": 155.0}
+    else:
+        doc[field] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys, ["solve", "--scenario", str(bad), "--scheme", "sur", "--grid", "50"]
+    )
+    assert code == 4
+    assert out == ""
+    assert f"invalid scenario: {field} must be > 0 and finite, got nan" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_below_baseline_exit_4(capsys, scenario_file):

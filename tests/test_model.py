@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -543,6 +544,34 @@ def test_unknown_variants_rejected():
     doc["distribution"] = {"variant": "pareto"}
     with pytest.raises(ScenarioError, match="distribution variant"):
         params_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected_by_name(bad):
+    # NaN used to pass every "<= 0" check and fail later inside a solve
+    params = params_from_dict(_base_doc())
+    fields = ["N", "F", "Q", "phi", "K", "A", "B"] + ([] if bad == math.inf else ["C"])
+    for name in fields:
+        with pytest.raises(ScenarioError, match=rf"\b{name}\b"):
+            dataclasses.replace(params, **{name: bad})
+    built = {
+        "alpha": lambda x: AlphaFairUtility(alpha=x, mu=0.5),
+        "mu": lambda x: AlphaFairUtility(alpha=0.5, mu=x),
+        "gamma": lambda x: ExpUtility(gamma=x),
+        "theta_max": lambda x: UniformTypes(x),
+        "mean": lambda x: TruncatedNormalTypes(mean=x, sd=30.0, lo=0.0, hi=150.0),
+        "sd": lambda x: TruncatedNormalTypes(mean=75.0, sd=x, lo=0.0, hi=150.0),
+        "lo": lambda x: TruncatedNormalTypes(mean=75.0, sd=30.0, lo=x, hi=150.0),
+        "hi": lambda x: TruncatedNormalTypes(mean=75.0, sd=30.0, lo=0.0, hi=x),
+    }
+    for name, build in built.items():
+        with pytest.raises(ScenarioError, match=rf"\b{name}\b"):
+            build(bad)
+
+
+def test_unlimited_capacity_constructs():
+    params = dataclasses.replace(params_from_dict(_base_doc()), C=math.inf)
+    assert params.C == math.inf
 
 
 def test_scenario_round_trip(tmp_path):

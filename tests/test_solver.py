@@ -420,6 +420,12 @@ def test_array_root_names_the_first_failing_reward(fig5a_params):
     w_bad = 0.5 * case_bound_a(p)
     with pytest.raises(InternalConsistencyError, match=f"at w={w_bad:.6g}"):
         users_mod.solve_theta4(p, np.array([w_c, w_bad, 0.3 * case_bound_a(p)]))
+    # one reward: the same bracket checks on the float path
+    for solve_root, w_bad in ((users_mod.solve_theta2, 0.9 * case_bound_b_sar(p)),
+                              (users_mod.solve_theta4, 0.5 * case_bound_a(p))):
+        with pytest.raises(InternalConsistencyError,
+                           match=f"bracket failed.* at w={w_bad:.6g}"):
+            solve_root(p, w_bad)
 
 
 def test_band_monotonicity_check():

@@ -256,15 +256,20 @@ def test_invalid_reward_is_named(w, scheme):
 
 @pytest.mark.parametrize("br", [best_response_sar, best_response_sur])
 def test_best_response_rejects_invalid_type_and_reward(br):
-    # these returned UserDecision(r=0, x=0.0)
+    # NaN and negative types returned UserDecision(r=0, x=0.0); an
+    # infinite type raised "marginal utility must be > 0" (SAR) or
+    # returned UserDecision(r=1, x=0.0) (SUR)
     p = PRESETS["fig5a"].params(1.6e7)
-    for theta in (math.nan, -3.0):
-        with pytest.raises(DomainError, match=re.escape(f"type must be >= 0, got {theta!r}")):
+    for theta in (math.nan, -3.0, math.inf, -math.inf):
+        named = re.escape(f"type must be finite and >= 0, got {theta!r}")
+        with pytest.raises(DomainError, match=named):
             br(p, theta, 0.01)
     with pytest.raises(DomainError, match="reward nan "):
         br(p, 50.0, math.nan)
     assert br(p, 0.0, 0.01) == UserDecision(r=0, x=0.0)
     assert br(p, 50.0, 0.0).x == 0.0
+    # a finite type above theta_max still gets an answer: it watches
+    assert 0.0 < br(p, 2.0 * p.dist.theta_max, 0.01).x < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +365,20 @@ def test_array_roots_match_scalar_roots(utility):
     np.testing.assert_array_equal(
         solve_theta2(p, w2), [solve_theta2(p, float(w)) for w in w2]
     )
+
+
+@_strict
+def test_array_h_and_v_at_zero_type_match_the_float_forms():
+    # theta3 = 0 where u'(0) = inf: the array forms map theta = 0 to
+    # level 0 as the float forms do, where v = F with slope -u(Q)
+    p = _mk(AlphaFairUtility(alpha=0.5, mu=0.0), UniformTypes(155.0))
+    w = 0.5 * (case_bound_b_sur(p) + case_bound_d(p))
+    assert theta3(p, w) == 0.0
+    for g in (users_mod._h, users_mod._v):
+        value, slope = g(p, np.array([w, 2.0 * w]))(np.zeros(2))
+        for k, w_k in enumerate((w, 2.0 * w)):
+            assert (value[k], slope[k]) == g(p, w_k)(0.0)
+    assert users_mod._v(p, w)(0.0) == (p.F, -p.utility.u(p.Q))
 
 
 @_strict
