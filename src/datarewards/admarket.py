@@ -17,13 +17,9 @@ import numpy as np
 
 from .errors import DomainError
 from .model import MarketParams, Scheme, integrate, integrate_segments, mass
-from .users import (
-    SurCase,
-    Thresholds,
-    thresholds,
-    x_watch_alone,
-    x_watch_subscriber,
-)
+# the stage-II integrand's forms of x_watch_subscriber and x_watch_alone:
+# its nodes are positive types, so it skips their theta = 0 masking
+from .users import SurCase, Thresholds, _watch_alone, _watch_subscriber, thresholds
 
 
 class UserClass(Enum):
@@ -91,8 +87,8 @@ def watch_moments(
     segments of the partition. Demand and the pooled and per-class ad
     stats derive from these."""
     return (
-        _segment_moments(params, part.w, *part.sub_watch, x_watch_subscriber),
-        _segment_moments(params, part.w, *part.alone_watch, x_watch_alone),
+        _segment_moments(params, part.w, *part.sub_watch, _watch_subscriber),
+        _segment_moments(params, part.w, *part.alone_watch, _watch_alone),
     )
 
 

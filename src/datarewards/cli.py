@@ -87,6 +87,10 @@ def _parse_scheme(text: str) -> Scheme:
 def _config(args) -> SolverConfig:
     if args.grid is None:
         return DEFAULT_CONFIG
+    # a grid longer than solver._PASS_REWARDS is an array pass of its
+    # own, whose memory grows with the grid
+    if args.grid > 100_000:
+        raise ScenarioError(f"--grid must be at most 100000, got {args.grid}")
     return SolverConfig(
         grid_points=args.grid,
         scan_points=min(DEFAULT_CONFIG.scan_points, max(args.grid, 50)),

@@ -6,13 +6,17 @@ so instances can be shared freely across threads and parallel sweeps.
 
 u_prime takes a float (stage II asks only for u'(Q)) and a density's
 pdf an array of types; u, inverse_marginal and mass take either.
+
+Scenario files name each family by its class's `variant`. One table
+of the family classes, read through their dataclass fields, serves
+both reading (`params_from_dict`) and writing (`params_to_dict`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -606,52 +610,33 @@ class MarketParams:
 # Scenario (de)serialization
 # ---------------------------------------------------------------------------
 
-_UTILITY_KEYS = {
-    "logarithmic": (),
-    "alpha_fair": ("alpha", "mu"),
-    "exponential": ("gamma",),
-}
+# every family by its scenario-file name; a section holds the variant
+# and its class's fields, and may leave out a field with a class default
+_VARIANTS = {cls.variant: cls for cls in (
+    LogUtility, AlphaFairUtility, ExpUtility, UniformTypes, TruncatedNormalTypes)}
+_SCALARS = ("N", "F", "Q", "phi", "K", "A", "B", "C")
 
 
-def _build_utility(section: dict) -> UtilityModel:
+def _build_family(doc: dict, key: str, family):
+    """The member of family (UtilityModel or TypeDistribution) that the
+    section doc[key] names by its variant."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{key} must be a JSON object, got {section!r}")
     variant = section.get("variant")
-    if variant == "logarithmic":
-        return LogUtility()
-    if variant == "alpha_fair":
-        return AlphaFairUtility(alpha=float(section["alpha"]),
-                                mu=float(section.get("mu", 0.0)))
-    if variant == "exponential":
-        return ExpUtility(gamma=float(section["gamma"]))
-    raise ScenarioError(f"unknown utility variant: {variant!r}")
-
-
-def _build_distribution(section: dict) -> TypeDistribution:
-    variant = section.get("variant")
-    if variant == "uniform":
-        return UniformTypes(theta_max=float(section["theta_max"]))
-    if variant == "truncated_normal":
-        return TruncatedNormalTypes(
-            mean=float(section["mean"]),
-            sd=float(section["sd"]),
-            lo=float(section.get("lo", 0.0)),
-            hi=float(section["hi"]),
-        )
-    raise ScenarioError(f"unknown distribution variant: {variant!r}")
+    cls = _VARIANTS.get(variant)
+    if cls is None or not issubclass(cls, family):
+        raise ScenarioError(f"unknown {key} variant: {variant!r}")
+    return cls(**{f.name: float(section[f.name]) for f in fields(cls)
+                  if f.name in section or f.default is MISSING})
 
 
 def params_from_dict(doc: dict) -> MarketParams:
     try:
         return MarketParams(
-            N=float(doc["N"]),
-            F=float(doc["F"]),
-            Q=float(doc["Q"]),
-            phi=float(doc["phi"]),
-            K=float(doc["K"]),
-            A=float(doc["A"]),
-            B=float(doc["B"]),
-            C=float(doc["C"]),
-            utility=_build_utility(doc["utility"]),
-            dist=_build_distribution(doc["distribution"]),
+            **{name: float(doc[name]) for name in _SCALARS},
+            utility=_build_family(doc, "utility", UtilityModel),
+            dist=_build_family(doc, "distribution", TypeDistribution),
         )
     except KeyError as exc:
         raise ScenarioError(f"scenario missing required field {exc}") from exc
@@ -662,24 +647,10 @@ def params_from_dict(doc: dict) -> MarketParams:
 
 
 def params_to_dict(params: MarketParams) -> dict:
-    util: dict = {"variant": params.utility.variant}
-    for key in _UTILITY_KEYS[params.utility.variant]:
-        util[key] = getattr(params.utility, key)
-    dist: dict
-    if isinstance(params.dist, UniformTypes):
-        dist = {"variant": "uniform", "theta_max": params.dist.theta_max}
-    else:
-        dist = {
-            "variant": "truncated_normal",
-            "mean": params.dist.mean,
-            "sd": params.dist.sd,
-            "lo": params.dist.lo,
-            "hi": params.dist.hi,
-        }
     return {
-        "N": params.N, "F": params.F, "Q": params.Q, "phi": params.phi,
-        "K": params.K, "A": params.A, "B": params.B, "C": params.C,
-        "utility": util, "distribution": dist,
+        **{name: getattr(params, name) for name in _SCALARS},
+        "utility": {"variant": params.utility.variant, **asdict(params.utility)},
+        "distribution": {"variant": params.dist.variant, **asdict(params.dist)},
     }
 
 

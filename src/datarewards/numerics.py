@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -27,6 +27,13 @@ _MAX_ITER = 200  # Newton and golden-section steps; tolerances stop them first
 # evaluations `monotone_bisect` may make beyond the midpoints it has
 # taken; fewer cost evaluations on smooth demand, more gain nothing
 _SPARE_STEPS = 6
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise DomainError naming the field unless value is an int (not
+    a bool) of at least `least`: a grid size or point count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def newton_root(

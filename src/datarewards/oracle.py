@@ -28,6 +28,7 @@ import numpy as np
 from .admarket import AdMarketStats
 from .errors import DomainError
 from .model import MarketParams, Scheme
+from .numerics import check_count
 from .solver import OperatorOutcome
 from .users import UserDecision
 
@@ -51,6 +52,12 @@ class DiscretizedMarket:
         n_omega: int = 400,
         n_p: int = 400,
     ) -> "DiscretizedMarket":
+        """m type cells, and n_x watch levels, n_omega rewards and n_p
+        prices per search; DomainError names a size that is not an int
+        or too small to search (m, n_p >= 1; n_x, n_omega >= 2)."""
+        for name, value, least in (("m", m, 1), ("n_x", n_x, 2),
+                                   ("n_omega", n_omega, 2), ("n_p", n_p, 1)):
+            check_count(f"DiscretizedMarket.{name}", value, least)
         theta_max = params.dist.theta_max
         edges = np.linspace(0.0, theta_max, m + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -370,7 +377,7 @@ def _pool_stats(
 def oracle_stage1(
     params: MarketParams,
     scheme: Scheme,
-    market: DiscretizedMarket | None = None,
+    market: DiscretizedMarket,
 ) -> OperatorOutcome:
     """Exhaustive reward/price grid search on the discretized market.
 
@@ -392,8 +399,6 @@ def oracle_stage1(
     move omega* along such a plateau while r_total stays the same:
     compare oracle outcomes by r_total, not by omega*.
     """
-    if market is None:
-        market = DiscretizedMarket.build(params)
     weights = market.weights
 
     # reward search range found by doubling the discretized demand

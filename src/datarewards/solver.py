@@ -56,9 +56,9 @@ from operator import attrgetter
 import numpy as np
 
 from .admarket import AdSideOutcome, Scheme, ad_sides, ad_stats, watch_moments
-from .errors import DomainError, InternalConsistencyError, UnboundedSearchError
+from .errors import InternalConsistencyError, UnboundedSearchError
 from .model import CAPACITY_RTOL, MarketParams, mass
-from .numerics import golden_max, monotone_bisect
+from .numerics import check_count, golden_max, monotone_bisect
 from .users import (
     SarCase,
     SurCase,
@@ -75,18 +75,15 @@ from .users import (
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable search resolutions; defaults keep sweep outputs stable
-    to at least four significant digits. Each is at least 2, so that a
-    grid holds both ends of its interval."""
+    to at least four significant digits. Each is an int of at least 2,
+    so that a grid holds both ends of its interval."""
 
     grid_points: int = 2000  # revenue grid per feasible interval
     scan_points: int = 600  # demand feasibility scan resolution
 
     def __post_init__(self) -> None:
         for name in ("grid_points", "scan_points"):
-            if getattr(self, name) < 2:
-                raise DomainError(
-                    f"SolverConfig.{name} must be at least 2, got {getattr(self, name)}"
-                )
+            check_count(f"SolverConfig.{name}", getattr(self, name), 2)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -350,8 +347,9 @@ def _demand_inverse(params: MarketParams, c: float, sar_demand) -> float:
     return lo
 
 
-def demand_inverse(params: MarketParams, capacity: float | None = None) -> float:
-    """Reward at which aware-scheme demand exactly meets capacity.
+def demand_inverse(params: MarketParams) -> float:
+    """Reward at which aware-scheme demand exactly meets the capacity
+    params.C (which MarketParams keeps at or above D(0)).
 
     Demand is flat at its zero-reward level until the reward becomes
     attractive to the highest type, then strictly increases, so the
@@ -359,8 +357,7 @@ def demand_inverse(params: MarketParams, capacity: float | None = None) -> float
     of a bisection at which demand is within 1e-6 of the capacity;
     InternalConsistencyError is raised when 200 halvings find none.
     """
-    c = params.C if capacity is None else capacity
-    return _demand_inverse(params, c, _demand_at(params, Scheme.SAR))
+    return _demand_inverse(params, params.C, _demand_at(params, Scheme.SAR))
 
 
 def _omega_cap(params: MarketParams, capacity: float, sur_demand) -> float:

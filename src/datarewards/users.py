@@ -374,18 +374,43 @@ def solve_theta4(params: MarketParams, w):
     return root
 
 
-def x_watch_subscriber(params: MarketParams, theta, w: float):
-    """Ads watched by a subscriber with binding quota Q; theta may be
-    a float or an array."""
+def _watch_subscriber(params: MarketParams, theta, w):
+    """`x_watch_subscriber` at a float type, or at an array of positive
+    types (such as the stage-II quadrature nodes) and a float reward or
+    one reward per type."""
     x = (_x_level(params, theta, w) - params.Q) / w
     if isinstance(x, np.ndarray):
         return np.maximum(x, 0.0)
     return max(x, 0.0)
 
 
-def x_watch_alone(params: MarketParams, theta, w: float):
-    """Ads watched by a non-subscriber (all data comes from rewards)."""
+def _watch_alone(params: MarketParams, theta, w):
+    """`x_watch_alone` where `_watch_subscriber` applies."""
     return _x_level(params, theta, w) / w
+
+
+def _at_any_types(watch, params: MarketParams, theta, w: float):
+    """watch(params, theta, w), which takes only positive types in an
+    array, with 0 ads at an array's types theta <= 0, as at a float."""
+    if not isinstance(theta, np.ndarray):
+        return watch(params, theta, w)
+    x = np.zeros(theta.shape)
+    live = theta > 0.0
+    x[live] = watch(params, theta[live], w)
+    return x
+
+
+def x_watch_subscriber(params: MarketParams, theta, w: float):
+    """Ads watched by a subscriber with binding quota Q; theta may be
+    a float or an array, and a type theta = 0 watches none."""
+    return _at_any_types(_watch_subscriber, params, theta, w)
+
+
+def x_watch_alone(params: MarketParams, theta, w: float):
+    """Ads watched by a non-subscriber (all data comes from rewards);
+    theta may be a float or an array, and a type theta = 0 watches
+    none."""
+    return _at_any_types(_watch_alone, params, theta, w)
 
 
 def _case_rules(t0, t1, t3, root, top, scheme_aware: bool) -> tuple:
@@ -454,10 +479,10 @@ def _best_response(
     part = thresholds(params, w, scheme_aware)
     if theta >= part.cutoff:
         lo, hi = part.sub_watch
-        x = x_watch_subscriber(params, theta, w) if lo < hi and theta >= lo else 0.0
+        x = _watch_subscriber(params, theta, w) if lo < hi and theta >= lo else 0.0
         return UserDecision(r=1, x=x)
     lo, hi = part.alone_watch
-    x = x_watch_alone(params, theta, w) if lo < hi and theta >= lo else 0.0
+    x = _watch_alone(params, theta, w) if lo < hi and theta >= lo else 0.0
     return UserDecision(r=0, x=x)
 
 

@@ -265,6 +265,20 @@ def test_malformed_value_exit_4_whatever_its_text(capsys, tmp_path, scenario_fil
     assert "malformed scenario value" in err
 
 
+@pytest.mark.parametrize("key", ["utility", "distribution"])
+@pytest.mark.parametrize("section", ["uniform", 155.0, None, ["uniform"]])
+def test_section_not_an_object_exit_4(capsys, tmp_path, scenario_file, key, section):
+    # an AttributeError used to escape main with a traceback
+    doc = json.loads(open(scenario_file).read())
+    doc[key] = section
+    bad = tmp_path / "section.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["solve", "--scenario", str(bad), "--scheme", "sar"])
+    assert code == 4
+    assert out == ""
+    assert f"{key} must be a JSON object" in err and "Traceback" not in err
+
+
 def test_invalid_scenario_exit_4(capsys, tmp_path, scenario_file):
     doc = json.loads(open(scenario_file).read())
     doc["C"] = 1.0  # below zero-reward demand
@@ -347,6 +361,36 @@ def test_grid_below_two_exit_4(capsys, scenario_file, command, grid):
     assert code == 4
     assert out == ""
     assert "grid_points" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "reproduce"])
+def test_grid_above_bound_exit_4(capsys, monkeypatch, scenario_file, command):
+    # rejected before any solve starts, as sweep --steps is
+    import datarewards.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(cli_mod, "solve", no_solve)
+    monkeypatch.setattr(cli_mod, "solve_capacities", no_solve)
+    extra = {"solve": ["--scenario", scenario_file, "--scheme", "sar"],
+             "sweep": ["--scenario", scenario_file, "--from", "1.2e7",
+                       "--to", "1.6e7", "--steps", "2"],
+             "reproduce": ["appK"]}[command]
+    code, out, err = _run(capsys, [command, *extra, "--grid", "100001"])
+    assert code == 4
+    assert out == ""
+    assert "--grid must be at most 100000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid_points", 2.5), ("scan_points", math.nan), ("scan_points", 60.0),
+    ("grid_points", True), ("scan_points", "60"),
+])
+def test_solver_config_needs_integers(field, value):
+    # a float used to construct, and solve then raised TypeError in np.linspace
+    with pytest.raises(DomainError, match=rf"SolverConfig\.{field} must be an integer"):
+        SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field,value", [("grid_points", 1), ("scan_points", 0)])

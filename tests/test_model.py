@@ -546,6 +546,56 @@ def test_unknown_variants_rejected():
         params_from_dict(doc)
 
 
+def test_variant_of_the_wrong_kind_rejected():
+    # each section takes only its own kind of family
+    doc = _base_doc()
+    doc["utility"] = {"variant": "uniform", "theta_max": 155.0}
+    with pytest.raises(ScenarioError, match="unknown utility variant: 'uniform'"):
+        params_from_dict(doc)
+    doc = _base_doc()
+    doc["distribution"] = {"variant": "logarithmic"}
+    with pytest.raises(ScenarioError, match="unknown distribution variant"):
+        params_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["utility", "distribution"])
+@pytest.mark.parametrize("section", ["logarithmic", 3, None, [1.0]])
+def test_section_that_is_not_an_object_rejected(key, section):
+    # used to escape as an AttributeError from section.get
+    doc = _base_doc()
+    doc[key] = section
+    with pytest.raises(ScenarioError, match=f"{key} must be a JSON object"):
+        params_from_dict(doc)
+
+
+def test_family_fields_with_class_defaults_may_be_left_out():
+    doc = _base_doc()
+    doc["F"] = 10.0
+    doc["utility"] = {"variant": "alpha_fair", "alpha": 0.8}
+    doc["distribution"] = {"variant": "truncated_normal", "mean": 75.0,
+                           "sd": 40.0, "hi": 155.0}
+    params = params_from_dict(doc)
+    assert params.utility == AlphaFairUtility(alpha=0.8, mu=0.0)
+    assert params.dist == TruncatedNormalTypes(75.0, 40.0, 0.0, 155.0)
+    # written back with every field, in the class's field order
+    again = params_to_dict(params)
+    assert again["utility"] == {"variant": "alpha_fair", "alpha": 0.8, "mu": 0.0}
+    assert list(again["distribution"]) == ["variant", "mean", "sd", "lo", "hi"]
+    for key, name in (("utility", "alpha"), ("distribution", "sd"),
+                      ("distribution", "mean")):
+        bad = params_to_dict(params)
+        del bad[key][name]
+        with pytest.raises(ScenarioError, match=f"missing required field '{name}'"):
+            params_from_dict(bad)
+
+
+def test_missing_truncation_top_named():
+    doc = _base_doc()
+    doc["distribution"] = {"variant": "truncated_normal", "mean": 75.0, "sd": 40.0}
+    with pytest.raises(ScenarioError, match=r"\bhi\b"):
+        params_from_dict(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_rejected_by_name(bad):
     # NaN used to pass every "<= 0" check and fail later inside a solve

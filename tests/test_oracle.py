@@ -401,3 +401,15 @@ def test_oracle_stage1_matches_per_reward_loop_in_passes(name, scheme):
     params = _mid_capacity(name)
     market = DiscretizedMarket.build(params, m=700, n_x=101, n_omega=24, n_p=50)
     assert oracle_stage1(params, scheme, market) == _oracle_stage1_loop(params, scheme, market)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", 0), ("n_x", 0), ("n_x", 1), ("n_omega", 1), ("n_p", 0),
+    ("m", 200.0), ("n_omega", True),
+])
+def test_oracle_grid_too_small_to_search_rejected_by_name(field, value):
+    # these used to fail inside oracle_stage1 with ZeroDivisionError or
+    # a numpy ValueError, which the CLI maps to no exit code
+    sizes = {"m": 200, "n_x": 201, "n_omega": 60, "n_p": 100, field: value}
+    with pytest.raises(DomainError, match=rf"DiscretizedMarket\.{field} must be an integer"):
+        DiscretizedMarket.build(PRESETS["fig5a"].params(1.6e7), **sizes)

@@ -455,15 +455,24 @@ def test_demand_inverse_round_trip(fig5a_params):
 def test_demand_inverse_monotone_in_capacity(fig5a_params):
     p = fig5a_params
     caps = [1.1e7, 1.4e7, 1.8e7, 2.2e7]
-    ws = [demand_inverse(p, c) for c in caps]
+    ws = [demand_inverse(replace(p, C=c)) for c in caps]
     assert all(a < b for a, b in zip(ws, ws[1:]))
 
 
 def test_demand_inverse_at_baseline_returns_knee(fig5a_params):
     p = fig5a_params
-    assert demand_inverse(p, p.baseline_demand()) == pytest.approx(
+    assert demand_inverse(replace(p, C=p.baseline_demand())) == pytest.approx(
         case_bound_a(p), rel=1e-12
     )
+
+
+def test_demand_inverse_reads_a_validated_capacity(fig5a_params):
+    # a capacity argument below D(0) used to return case_bound_a, whose
+    # demand D(0) exceeds it; MarketParams rejects such a capacity
+    with pytest.raises(TypeError):
+        demand_inverse(fig5a_params, 1.0)
+    with pytest.raises(ScenarioError, match="capacity C=1 below"):
+        replace(fig5a_params, C=1.0)
 
 
 # ---------------------------------------------------------------------------

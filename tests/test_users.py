@@ -382,6 +382,23 @@ def test_array_h_and_v_at_zero_type_match_the_float_forms():
 
 
 @_strict
+@pytest.mark.parametrize("utility", [
+    LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8),
+    AlphaFairUtility(alpha=0.5, mu=0.0), ExpUtility(gamma=0.7),
+])
+def test_array_watch_maps_at_zero_type_match_the_float_forms(utility):
+    # an array holding theta = 0 used to raise DomainError (u'(0)
+    # finite, bar log) or warn of a division by zero (log)
+    p = _mk(utility, UniformTypes(155.0), F=10.0)
+    theta = np.array([0.0, 100.0, 0.0, 155.0])
+    for w in (0.01, case_bound_d(p)):
+        for xfun in (users_mod.x_watch_alone, users_mod.x_watch_subscriber):
+            got = xfun(p, theta, w)
+            assert got.tolist() == [xfun(p, float(t), w) for t in theta]
+            assert got[0] == 0.0
+
+
+@_strict
 def test_newton_roots_take_the_scalar_steps():
     # the same arithmetic on floats and arrays: bit-equal roots, within
     # xtol/2 of the exact root, for convex cubes rising (y = x) and
