@@ -3,7 +3,10 @@ verification against the brute-force oracle, preset reproduction, and
 threshold dumps.
 
 Exit codes: 0 success, 2 missing input file, 3 parse error,
-4 scenario/model invariant violation, 1 verification failure.
+4 scenario/model invariant violation or a count flag out of its range,
+1 verification failure.
+
+Each output record is a dict whose keys, in order, are its CSV columns.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,13 +47,6 @@ EXIT_MISSING_FILE = 2
 EXIT_PARSE_ERROR = 3
 EXIT_INVARIANT = 4
 
-SCHEME_ORDER = [Scheme.SAR, Scheme.SUR, Scheme.SURD]
-
-RECORD_FIELDS = [
-    "scheme", "omega_star", "p_star", "p_star_I", "p_star_II",
-    "r_data", "r_ad", "r_total", "demand", "case", "capacity_binding",
-]
-
 
 def fmt_value(x) -> str:
     """Diff-stable CSV formatting: 10 significant digits, scientific
@@ -68,13 +65,15 @@ def fmt_value(x) -> str:
     return f"{v:.10g}"
 
 
-def emit_records(records: list[dict], fields: list[str], fmt: str) -> None:
+def emit_records(records: list[dict], fmt: str) -> None:
+    """Print non-empty records that share their keys, as JSON or as CSV
+    whose header is those keys in order."""
     if fmt == "json":
         print(json.dumps(records, indent=2))
         return
-    print(",".join(fields))
+    print(",".join(records[0]))
     for rec in records:
-        print(",".join(fmt_value(rec.get(f)) for f in fields))
+        print(",".join(map(fmt_value, rec.values())))
 
 
 def _parse_scheme(text: str) -> Scheme:
@@ -87,10 +86,6 @@ def _parse_scheme(text: str) -> Scheme:
 def _config(args) -> SolverConfig:
     if args.grid is None:
         return DEFAULT_CONFIG
-    # a grid longer than solver._PASS_REWARDS is an array pass of its
-    # own, whose memory grows with the grid
-    if args.grid > 100_000:
-        raise ScenarioError(f"--grid must be at most 100000, got {args.grid}")
     return SolverConfig(
         grid_points=args.grid,
         scan_points=min(DEFAULT_CONFIG.scan_points, max(args.grid, 50)),
@@ -106,7 +101,7 @@ def cmd_solve(args) -> int:
     params = load_scenario(args.scenario)
     scheme = _parse_scheme(args.scheme)
     outcome = solve(params, scheme, _config(args))
-    emit_records([outcome.to_record()], RECORD_FIELDS, args.format)
+    emit_records([outcome.to_record()], args.format)
     return EXIT_OK
 
 
@@ -128,17 +123,12 @@ def cmd_sweep(args) -> int:
     params = load_scenario(args.scenario)
     if not args.from_ < args.to:
         raise ScenarioError("sweep needs --from < --to")
-    if not 2 <= args.steps <= 100_000:
-        raise ScenarioError("sweep steps must lie in [2, 100000]")
-    schemes = (
-        [_parse_scheme(s) for s in args.scheme]
-        if args.scheme
-        else list(SCHEME_ORDER)
-    )
-    schemes = [s for s in SCHEME_ORDER if s in schemes]
+    # the chosen schemes, in the enum's order whatever the flags' order
+    chosen = [_parse_scheme(s) for s in args.scheme or ()]
+    schemes = [s for s in Scheme if s in chosen or not chosen]
     capacities = [float(c) for c in np.linspace(args.from_, args.to, args.steps)]
     records = _capacity_records(params, capacities, schemes, _config(args))
-    emit_records(records, ["C"] + RECORD_FIELDS, args.format)
+    emit_records(records, args.format)
     return EXIT_OK
 
 
@@ -156,8 +146,8 @@ def cmd_reproduce(args) -> int:
             float(c)
             for c in np.linspace(preset.sweep_from(), preset.sweep_to, preset.sweep_steps)
         ]
-    records = _capacity_records(params, capacities, SCHEME_ORDER, _config(args))
-    emit_records(records, ["C"] + RECORD_FIELDS, args.format)
+    records = _capacity_records(params, capacities, tuple(Scheme), _config(args))
+    emit_records(records, args.format)
     return EXIT_OK
 
 
@@ -165,37 +155,21 @@ def cmd_thresholds(args) -> int:
     params = load_scenario(args.scenario)
     scheme = _parse_scheme(args.scheme)
     aware = scheme is Scheme.SAR
-    if not 1 <= args.steps <= 100_000:
-        raise ScenarioError("threshold dump steps must lie in [1, 100000]")
-
-    if args.responses_at is not None:
-        w = args.responses_at
-        br = best_response_sar if aware else best_response_sur
-        records = []
-        for theta in np.linspace(0.0, params.dist.theta_max, args.steps):
-            dec = br(params, float(theta), w)
-            records.append({"theta": float(theta), "r": dec.r, "x": dec.x})
-        emit_records(records, ["theta", "r", "x"], args.format)
-        return EXIT_OK
-
-    if not args.from_ < args.to:
-        raise ScenarioError("threshold dump needs --from < --to")
     records = []
-    for w in np.linspace(args.from_, args.to, args.steps):
-        thr = thresholds(params, float(w), scheme_aware=aware)
-        records.append({
-            "omega": float(w),
-            "theta0": thr.theta0,
-            "theta1": thr.theta1,
-            "theta2": thr.theta2,
-            "theta3": thr.theta3,
-            "theta4": thr.theta4,
-        })
-    emit_records(
-        records,
-        ["omega", "theta0", "theta1", "theta2", "theta3", "theta4"],
-        args.format,
-    )
+    if args.responses_at is not None:
+        br = best_response_sar if aware else best_response_sur
+        for theta in map(float, np.linspace(0.0, params.dist.theta_max, args.steps)):
+            dec = br(params, theta, args.responses_at)
+            records.append({"theta": theta, "r": dec.r, "x": dec.x})
+    elif not args.from_ < args.to:
+        raise ScenarioError("threshold dump needs --from < --to")
+    else:
+        for w in map(float, np.linspace(args.from_, args.to, args.steps)):
+            thr = thresholds(params, w, scheme_aware=aware)
+            records.append({"omega": w, "theta0": thr.theta0, "theta1": thr.theta1,
+                            "theta2": thr.theta2, "theta3": thr.theta3,
+                            "theta4": thr.theta4})
+    emit_records(records, args.format)
     return EXIT_OK
 
 
@@ -214,35 +188,33 @@ def _verify_user_br(params: MarketParams, scheme: Scheme, rng, n: int) -> tuple[
     return worst <= 1e-8, f"worst relative payoff gap {worst:.3e}"
 
 
-def _verify_adv_br(params: MarketParams, rng) -> tuple[bool, str]:
-    w = 0.9 * params.phi * params.Q / params.F
-    stats = ad_stats(params, w, Scheme.SUR)
+def _verify_ad_side(params: MarketParams, rng) -> list[tuple[str, tuple[bool, str]]]:
+    """The advertiser best response at a random price and the optimal
+    slot price against grid searches, both on the watchers of one probe
+    reward under SUR; vacuous when nobody watches there."""
+    names = ("advertiser best response", "optimal slot price")
+    stats = ad_stats(params, 0.9 * params.phi * params.Q / params.F, Scheme.SUR)
     if stats.n_ad <= 0:
-        return True, "no watchers at probe reward (vacuous)"
+        return [(name, (True, "no watchers at probe reward (vacuous)")) for name in names]
     p = rng.uniform(0.1 * params.B, 0.9 * params.B)
     grid_m = oracle_adv_br(stats, params, p, n_m=100001)
-    closed = advertiser_best_response(stats, params, p)
+    closed_m = advertiser_best_response(stats, params, p)
     step = 2.0 * params.B * stats.n_ad * stats.ey**2 / (
         2.0 * params.A * stats.ey2
     ) / 100000
-    ok = abs(grid_m - closed) <= step * 1.5
-    return ok, f"grid {grid_m:.6g} vs closed form {closed:.6g}"
-
-
-def _verify_price(params: MarketParams) -> tuple[bool, str]:
-    w = 0.9 * params.phi * params.Q / params.F
-    stats = ad_stats(params, w, Scheme.SUR)
-    if stats.n_ad <= 0:
-        return True, "no watchers at probe reward (vacuous)"
     p_grid = np.linspace(params.B / 2000, params.B, 2000)
     revs = [
         params.K * advertiser_best_response(stats, params, float(p)) * p
         for p in p_grid
     ]
-    best_grid = float(p_grid[int(np.argmax(revs))])
-    closed = optimal_price(stats, params)
-    ok = abs(best_grid - closed) <= params.B / 1000
-    return ok, f"grid price {best_grid:.6g} vs closed form {closed:.6g}"
+    grid_p = float(p_grid[int(np.argmax(revs))])
+    closed_p = optimal_price(stats, params)
+    return list(zip(names, [
+        (abs(grid_m - closed_m) <= step * 1.5,
+         f"grid {grid_m:.6g} vs closed form {closed_m:.6g}"),
+        (abs(grid_p - closed_p) <= params.B / 1000,
+         f"grid price {grid_p:.6g} vs closed form {closed_p:.6g}"),
+    ]))
 
 
 def _verify_dominance(params: MarketParams) -> tuple[bool, str]:
@@ -257,8 +229,6 @@ def _verify_dominance(params: MarketParams) -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
-    if args.draws < 1:
-        raise ScenarioError("verify needs --draws >= 1")
     if args.scenario:
         params = load_scenario(args.scenario)
     else:
@@ -269,8 +239,7 @@ def cmd_verify(args) -> int:
          _verify_user_br(params, Scheme.SAR, rng, args.draws)),
         ("user best response (unaware)",
          _verify_user_br(params, Scheme.SUR, rng, args.draws)),
-        ("advertiser best response", _verify_adv_br(params, rng)),
-        ("optimal slot price", _verify_price(params)),
+        *_verify_ad_side(params, rng),
         ("differentiation dominance", _verify_dominance(params)),
     ]
     failed = 0
@@ -295,30 +264,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_count(p, flag, lo, hi=math.inf, **kwargs):
+        # an int flag whose value `main` checks to lie in [lo, hi]
+        # before the command runs
+        dest = p.add_argument(flag, type=int, **kwargs).dest
+        p.set_defaults(counts=[*(p.get_default("counts") or ()), (flag, dest, lo, hi)])
+
+    def add_grid(p):
+        # a grid longer than solver._PASS_REWARDS is an array pass of
+        # its own, whose memory grows with the grid
+        add_count(p, "--grid", 2, 100_000, default=None, help="solver grid override")
+
     def add_common(p):
         p.add_argument("--scenario", required=True,
                        help="path to a JSON scenario file")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--grid", type=int, default=None,
-                       help="solver grid override")
 
     p_solve = sub.add_parser("solve", help="solve one scenario for one scheme")
     add_common(p_solve)
+    add_grid(p_solve)
     p_solve.add_argument("--scheme", required=True)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="capacity sweep")
     add_common(p_sweep)
+    add_grid(p_sweep)
     p_sweep.add_argument("--scheme", action="append", default=None)
     p_sweep.add_argument("--from", dest="from_", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    add_count(p_sweep, "--steps", 2, 100_000, required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run a built-in preset sweep")
     p_rep.add_argument("figure", help="preset id, e.g. fig5a or appK")
     p_rep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_rep.add_argument("--grid", type=int, default=None)
+    add_grid(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_thr = sub.add_parser(
@@ -328,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--scheme", required=True)
     p_thr.add_argument("--from", dest="from_", type=float, default=0.0)
     p_thr.add_argument("--to", type=float, default=0.0)
-    p_thr.add_argument("--steps", type=int, default=100)
+    add_count(p_thr, "--steps", 1, 100_000, default=100)
     p_thr.add_argument(
         "--responses-at", type=float, default=None, metavar="OMEGA",
         help="dump per-type (theta, r, x) decisions at this reward instead",
@@ -337,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="compare against brute-force oracle")
     p_ver.add_argument("--scenario", default=None)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--draws", type=int, default=100)
+    add_count(p_ver, "--seed", 0, default=0)
+    add_count(p_ver, "--draws", 1, 100_000, default=100)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -354,6 +334,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag, dest, lo, hi in args.counts:
+            value = getattr(args, dest)
+            if value is not None and not lo <= value <= hi:
+                raise ScenarioError(f"{flag} must lie in [{lo}, {hi}], got {value}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)

@@ -237,25 +237,31 @@ class UniformTypes:
 
 @dataclass(frozen=True)
 class TruncatedNormalTypes:
-    """Normal(mean, sd) truncated to [lo, hi].
+    """Normal(mean, sd) truncated to [lo, hi], 0 <= lo < hi.
 
     Normalized by the parent's mass on [lo, hi] (`_normal_mass`), so
     the density integrates to 1 however much mass the parent loses to
-    truncation.
+    truncation. hi is required; its default only lets it follow lo.
     """
 
     mean: float
     sd: float
     lo: float = 0.0
-    hi: float = 0.0
+    hi: float | None = None
     variant = "truncated_normal"
 
     def __post_init__(self) -> None:
+        if self.hi is None:
+            raise ScenarioError("hi, the top of the truncation range, is required")
         for name in ("mean", "lo", "hi"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ScenarioError(f"{name} must be finite, got {value}")
         _check_positive("sd", self.sd)
+        # valuations are not negative: best responses and `integrate`
+        # take types theta >= 0
+        if self.lo < 0.0:
+            raise ScenarioError(f"lo must be >= 0, got {self.lo}")
         if self.hi <= self.lo:
             raise ScenarioError(
                 f"truncation needs hi > lo, got [{self.lo}, {self.hi}]"
@@ -311,13 +317,11 @@ class TruncatedNormalTypes:
     def mass(self, lo, hi):
         """Probability of [lo, hi]; lo and hi may be floats or arrays."""
         if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-            lo, hi = np.broadcast_arrays(np.maximum(lo, self.lo), np.minimum(hi, self.hi))
-            # erfc costs a Python call per entry: skip the empty intervals
-            live = hi > lo
-            out = np.zeros(live.shape)
-            z_a, z_b = (lo[live] - self.mean) / self.sd, (hi[live] - self.mean) / self.sd
-            out[live] = _normal_mass(z_a, z_b) / self._mass  # type: ignore[attr-defined]
-            return out
+            lo, hi = np.maximum(lo, self.lo), np.minimum(hi, self.hi)
+            z_a, z_b = (lo - self.mean) / self.sd, (hi - self.mean) / self.sd
+            mass = _normal_mass(z_a, z_b) / self._mass  # type: ignore[attr-defined]
+            # an empty interval, as one from lo = +inf, has no mass
+            return np.where(hi > lo, mass, 0.0)
         lo, hi = max(lo, self.lo), min(hi, self.hi)
         if hi <= lo:
             return 0.0

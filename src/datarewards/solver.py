@@ -56,7 +56,7 @@ from operator import attrgetter
 import numpy as np
 
 from .admarket import AdSideOutcome, Scheme, ad_sides, ad_stats, watch_moments
-from .errors import InternalConsistencyError, UnboundedSearchError
+from .errors import InternalConsistencyError, ScenarioError, UnboundedSearchError
 from .model import CAPACITY_RTOL, MarketParams, mass
 from .numerics import check_count, golden_max, monotone_bisect
 from .users import (
@@ -137,19 +137,6 @@ class OperatorOutcome:
 # ---------------------------------------------------------------------------
 
 
-def subscriber_mass(params: MarketParams, part: Thresholds):
-    """Type mass of the subscribers [cutoff, theta_max] of the partition.
-    At an array of rewards, those in cases A and B share the cutoff
-    theta0, whose mass is taken once."""
-    top = params.dist.theta_max
-    if not isinstance(part.w, np.ndarray):
-        return mass(params.dist, part.cutoff, top)
-    moved = part.cutoff != part.theta0
-    out = np.where(moved, 0.0, mass(params.dist, part.theta0, top))
-    out[moved] = mass(params.dist, part.cutoff[moved], top)
-    return out
-
-
 def _demand(params: MarketParams, part: Thresholds, sub_mass, moments):
     """The quota of every subscriber plus the rewarded data of every
     watcher."""
@@ -160,7 +147,8 @@ def _demand(params: MarketParams, part: Thresholds, sub_mass, moments):
 def demand(params: MarketParams, w: float, scheme: Scheme) -> float:
     """Total data requested per month at reward w."""
     part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    return _demand(params, part, subscriber_mass(params, part), watch_moments(params, part))
+    sub_mass = mass(params.dist, part.cutoff, params.dist.theta_max)
+    return _demand(params, part, sub_mass, watch_moments(params, part))
 
 
 _SAR_LABELS = np.array([c.value for c in SarCase])
@@ -236,7 +224,7 @@ def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
     """
     part = thresholds(params, w, scheme is Scheme.SAR)
     moments = watch_moments(params, part)
-    sub_mass = subscriber_mass(params, part)
+    sub_mass = mass(params.dist, part.cutoff, params.dist.theta_max)
     pooled, split = ad_sides(params, part, moments, scheme)
     if isinstance(w, np.ndarray):
         label = (_SAR_LABELS if scheme is Scheme.SAR else _SUR_LABELS)[part.case]
@@ -314,7 +302,14 @@ def _evaluate_grids(
 
 def _double_until(demand_at, start: float, level: float) -> float:
     """The first of the rewards start, 2 start, 4 start, ... whose
-    demand exceeds level; raises after MAX_DOUBLINGS of them."""
+    demand exceeds level; raises after MAX_DOUBLINGS of them. Every
+    search for a reward above the capacity starts here, so this is
+    where an unlimited capacity (C = inf), which gives no search end,
+    is rejected."""
+    if math.isinf(level):
+        raise ScenarioError(
+            "solving needs a finite capacity C: no reward search ends at C = inf"
+        )
     w = start
     for _ in range(MAX_DOUBLINGS):
         if demand_at(w) > level:

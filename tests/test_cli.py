@@ -164,6 +164,26 @@ def test_reproduce_unknown_figure(capsys):
     assert "unknown figure" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--scheme", "surd", "--grid", "60"],
+    ["sweep", "--from", "1.2e7", "--to", "1.6e7", "--steps", "2", "--grid", "60",
+     "--scheme", "sur"],
+    ["reproduce", "appK", "--grid", "60"],
+    ["thresholds", "--scheme", "sur", "--from", "0.001", "--to", "0.01", "--steps", "3"],
+    ["thresholds", "--scheme", "sar", "--responses-at", "0.009", "--steps", "3"],
+])
+def test_csv_header_is_the_record_keys(capsys, scenario_file, command):
+    # each record states its own columns: the CSV header is its keys
+    argv = command if command[0] == "reproduce" else [
+        *command, "--scenario", scenario_file]
+    _, csv_out, _ = _run(capsys, argv)
+    _, json_out, _ = _run(capsys, [*argv, "--format", "json"])
+    records = json.loads(json_out)
+    lines = csv_out.splitlines()
+    assert lines[0] == ",".join(records[0])
+    assert len(lines) == len(records) + 1
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------
@@ -208,6 +228,15 @@ def test_thresholds_steps_out_of_range_exit_4(capsys, scenario_file, mode, steps
     assert code == 4
     assert out == ""
     assert "steps must lie in [1, 100000]" in err
+
+
+def test_thresholds_has_no_grid_flag(capsys, scenario_file):
+    # the dump never read it, and accepted any value
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--scenario", scenario_file, "--scheme", "sur",
+              "--from", "0.001", "--to", "0.01", "--steps", "5", "--grid", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["sar", "sur"])
@@ -289,6 +318,18 @@ def test_invalid_scenario_exit_4(capsys, tmp_path, scenario_file):
     assert "invalid scenario" in err
 
 
+def test_unlimited_capacity_solve_exit_4(capsys, tmp_path, scenario_file):
+    # the file loads (C = inf is an unlimited network), but no search ends
+    doc = json.loads(open(scenario_file).read())
+    doc["C"] = math.inf
+    path = tmp_path / "unlimited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["solve", "--scenario", str(path), "--scheme", "sur"])
+    assert code == 4
+    assert out == ""
+    assert "invalid scenario: solving needs a finite capacity C" in err
+
+
 @pytest.mark.parametrize("field", ["A", "sd"])
 def test_nan_parameter_exit_4(capsys, tmp_path, scenario_file, field):
     # NaN used to pass validation, and the solve then escaped main with
@@ -360,7 +401,7 @@ def test_grid_below_two_exit_4(capsys, scenario_file, command, grid):
     )
     assert code == 4
     assert out == ""
-    assert "grid_points" in err and "Traceback" not in err
+    assert "--grid must lie in [2, 100000]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "reproduce"])
@@ -380,7 +421,7 @@ def test_grid_above_bound_exit_4(capsys, monkeypatch, scenario_file, command):
     code, out, err = _run(capsys, [command, *extra, "--grid", "100001"])
     assert code == 4
     assert out == ""
-    assert "--grid must be at most 100000" in err and "Traceback" not in err
+    assert "--grid must lie in [2, 100000]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -445,7 +486,41 @@ def test_verify_without_draws_exit_4(capsys, scenario_file, draws):
     )
     assert code == 4
     assert out == ""
-    assert "--draws >= 1" in err
+    assert "--draws must lie in [1, 100000]" in err
+
+
+def test_verify_negative_seed_exit_4(capsys, scenario_file):
+    # numpy's ValueError used to escape main: exit 1, as for a failed check
+    code, out, err = _run(
+        capsys, ["verify", "--scenario", scenario_file, "--seed", "-1"]
+    )
+    assert code == 4
+    assert out == ""
+    assert "--seed must lie in [0, inf], got -1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--from", "1.2e7", "--to", "1.6e7", "--steps", "1"],
+     "--steps must lie in [2, 100000]"),
+    (["sweep", "--from", "1.2e7", "--to", "1.6e7", "--steps", "100001"],
+     "--steps must lie in [2, 100000]"),
+    (["verify", "--draws", "100001"], "--draws must lie in [1, 100000]"),
+])
+def test_count_flag_out_of_range_exit_4_before_any_work(
+    capsys, monkeypatch, scenario_file, argv, message
+):
+    # --draws had no upper bound, at about 60 us per draw
+    import datarewards.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_scenario", "solve", "solve_capacities", "_verify_user_br"):
+        monkeypatch.setattr(cli_mod, name, no_work)
+    code, out, err = _run(capsys, [*argv, "--scenario", scenario_file])
+    assert code == 4
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

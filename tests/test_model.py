@@ -27,6 +27,7 @@ from datarewards import (
     save_scenario,
 )
 from datarewards.model import _normal_mass, integrate_segments, mass
+from datarewards.presets import PRESETS
 from datarewards.users import (
     case_bound_d,
     thresholds,
@@ -593,6 +594,31 @@ def test_missing_truncation_top_named():
     doc = _base_doc()
     doc["distribution"] = {"variant": "truncated_normal", "mean": 75.0, "sd": 40.0}
     with pytest.raises(ScenarioError, match=r"\bhi\b"):
+        params_from_dict(doc)
+
+
+@pytest.mark.parametrize("lo", [None, 0.0, 20.0, -5.0])
+def test_missing_truncation_top_named_whatever_lo(lo):
+    # with lo < 0 the class default hi = 0.0 used to build a density on
+    # [lo, 0], which MarketParams then rejected for its theta_max
+    doc = _base_doc()
+    doc["distribution"] = {"variant": "truncated_normal", "mean": 75.0, "sd": 40.0}
+    if lo is not None:
+        doc["distribution"]["lo"] = lo
+    with pytest.raises(ScenarioError, match="hi, the top of the truncation range, is required"):
+        params_from_dict(doc)
+
+
+@pytest.mark.parametrize("lo", [-40.0, -1e-300])
+def test_negative_truncation_bottom_rejected(lo):
+    # the model has no negative valuations: on fig7a's market with
+    # lo = -40 the solver's D(0) (over [lo, 150]) was 3 % below the
+    # oracle's, which renormalizes over [0, 150]
+    with pytest.raises(ScenarioError, match=r"lo must be >= 0, got -"):
+        TruncatedNormalTypes(mean=75.0, sd=40.0, lo=lo, hi=150.0)
+    doc = params_to_dict(PRESETS["fig7a"].params())
+    doc["distribution"]["lo"] = lo
+    with pytest.raises(ScenarioError, match=r"\blo\b"):
         params_from_dict(doc)
 
 

@@ -475,6 +475,34 @@ def test_demand_inverse_reads_a_validated_capacity(fig5a_params):
         replace(fig5a_params, C=1.0)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p: solve(p, Scheme.SAR, FAST),
+    lambda p: solve(p, Scheme.SUR, FAST),
+    lambda p: solve(p, Scheme.SURD, FAST),
+    demand_inverse,
+    feasible_region,
+    check_theorem2,
+], ids=["solve_sar", "solve_sur", "solve_surd", "demand_inverse",
+        "feasible_region", "check_theorem2"])
+def test_unlimited_capacity_is_rejected_before_any_search(monkeypatch, fig5a_params, entry):
+    # C = inf builds a market, but no reward's demand exceeds it: each
+    # entry point used to spend 60 doublings and raise UnboundedSearchError
+    calls = []
+    orig = solver_mod.demand
+
+    def counted(*args):
+        calls.append(args[1])
+        return orig(*args)
+
+    monkeypatch.setattr(solver_mod, "demand", counted)
+    params = replace(fig5a_params, C=math.inf)
+    assert params.baseline_demand() < math.inf
+    with pytest.raises(ScenarioError, match=r"finite capacity C\b"):
+        entry(params)
+    # at most D(0), which demand inversion reads before its search
+    assert len(calls) <= 1
+
+
 # ---------------------------------------------------------------------------
 # feasible region (unaware schemes)
 # ---------------------------------------------------------------------------
