@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import MarketParams, Scheme, integrate, integrate_segments, mass
-# the stage-II integrand's forms of x_watch_subscriber and x_watch_alone:
-# its nodes are positive types, so it skips their theta = 0 masking
+# the ads a watcher takes, the stage-II integrands: their quadrature
+# nodes are positive types
 from .users import SurCase, Thresholds, _watch_alone, _watch_subscriber, thresholds
 
 

@@ -3,7 +3,7 @@ verification against the brute-force oracle, preset reproduction, and
 threshold dumps.
 
 Exit codes: 0 success, 2 missing input file, 3 parse error,
-4 scenario/model invariant violation or a count flag out of its range,
+4 scenario/model invariant violation or a flag value out of its range,
 1 verification failure.
 
 Each output record is a dict whose keys, in order, are its CSV columns.
@@ -48,6 +48,11 @@ EXIT_PARSE_ERROR = 3
 EXIT_INVARIANT = 4
 
 
+class FlagError(DataRewardsError, ValueError):
+    """A command-line flag value the command cannot use; exit code 4,
+    reported without the `invalid scenario` label of a ScenarioError."""
+
+
 def fmt_value(x) -> str:
     """Diff-stable CSV formatting: 10 significant digits, scientific
     notation for magnitudes of a million and up."""
@@ -80,7 +85,7 @@ def _parse_scheme(text: str) -> Scheme:
     try:
         return Scheme(text.lower())
     except ValueError:
-        raise ScenarioError(f"unknown scheme {text!r}; expected sar, sur, or surd")
+        raise FlagError(f"unknown scheme {text!r}; expected sar, sur, or surd")
 
 
 def _config(args) -> SolverConfig:
@@ -122,7 +127,7 @@ def _capacity_records(
 def cmd_sweep(args) -> int:
     params = load_scenario(args.scenario)
     if not args.from_ < args.to:
-        raise ScenarioError("sweep needs --from < --to")
+        raise FlagError("sweep needs --from < --to")
     # the chosen schemes, in the enum's order whatever the flags' order
     chosen = [_parse_scheme(s) for s in args.scheme or ()]
     schemes = [s for s in Scheme if s in chosen or not chosen]
@@ -135,7 +140,7 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     preset = PRESETS.get(args.figure)
     if preset is None:
-        raise ScenarioError(
+        raise FlagError(
             f"unknown figure id {args.figure!r}; choose from "
             + ", ".join(sorted(PRESETS))
         )
@@ -162,7 +167,7 @@ def cmd_thresholds(args) -> int:
             dec = br(params, theta, args.responses_at)
             records.append({"theta": theta, "r": dec.r, "x": dec.x})
     elif not args.from_ < args.to:
-        raise ScenarioError("threshold dump needs --from < --to")
+        raise FlagError("threshold dump needs --from < --to")
     else:
         for w in map(float, np.linspace(args.from_, args.to, args.steps)):
             thr = thresholds(params, w, scheme_aware=aware)
@@ -264,11 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_checked(p, flag, ok, requirement, **kwargs):
+        # a flag whose value `main` checks with ok before the command
+        # runs; a failing value is reported as "FLAG must <requirement>"
+        dest = p.add_argument(flag, **kwargs).dest
+        checks = p.get_default("checks") or ()
+        p.set_defaults(checks=[*checks, (flag, dest, ok, requirement)])
+
     def add_count(p, flag, lo, hi=math.inf, **kwargs):
-        # an int flag whose value `main` checks to lie in [lo, hi]
-        # before the command runs
-        dest = p.add_argument(flag, type=int, **kwargs).dest
-        p.set_defaults(counts=[*(p.get_default("counts") or ()), (flag, dest, lo, hi)])
+        # an int flag that must lie in [lo, hi]
+        add_checked(p, flag, lambda v: lo <= v <= hi, f"lie in [{lo}, {hi}]",
+                    type=int, **kwargs)
+
+    def add_real(p, flag, what, **kwargs):
+        # a float flag that must be finite (argparse takes nan and inf)
+        add_checked(p, flag, math.isfinite, f"be a finite {what}", type=float, **kwargs)
 
     def add_grid(p):
         # a grid longer than solver._PASS_REWARDS is an array pass of
@@ -290,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     add_grid(p_sweep)
     p_sweep.add_argument("--scheme", action="append", default=None)
-    p_sweep.add_argument("--from", dest="from_", type=float, required=True)
-    p_sweep.add_argument("--to", type=float, required=True)
+    add_real(p_sweep, "--from", "capacity", dest="from_", required=True)
+    add_real(p_sweep, "--to", "capacity", required=True)
     add_count(p_sweep, "--steps", 2, 100_000, required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -306,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_thr)
     p_thr.add_argument("--scheme", required=True)
-    p_thr.add_argument("--from", dest="from_", type=float, default=0.0)
-    p_thr.add_argument("--to", type=float, default=0.0)
+    add_real(p_thr, "--from", "reward", dest="from_", default=0.0)
+    add_real(p_thr, "--to", "reward", default=0.0)
     add_count(p_thr, "--steps", 1, 100_000, default=100)
-    p_thr.add_argument(
-        "--responses-at", type=float, default=None, metavar="OMEGA",
+    add_real(
+        p_thr, "--responses-at", "reward", default=None, metavar="OMEGA",
         help="dump per-type (theta, r, x) decisions at this reward instead",
     )
     p_thr.set_defaults(func=cmd_thresholds)
@@ -334,10 +349,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for flag, dest, lo, hi in args.counts:
+        for flag, dest, ok, requirement in args.checks:
             value = getattr(args, dest)
-            if value is not None and not lo <= value <= hi:
-                raise ScenarioError(f"{flag} must lie in [{lo}, {hi}], got {value}")
+            if value is not None and not ok(value):
+                raise FlagError(f"{flag} must {requirement}, got {value}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)

@@ -99,7 +99,7 @@ def newton_root(
 
 
 def newton_roots(
-    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
     xtol: float,
@@ -109,46 +109,42 @@ def newton_roots(
 ) -> np.ndarray:
     """`newton_root` for many brackets [lo[i], hi[i]] at once.
 
-    f(x, idx) returns the values and slopes of the functions idx at x.
-    Each element takes the steps `newton_root` takes on its bracket,
-    so it returns the same root; f is evaluated only on the brackets
-    still open.
+    f(x) returns the values and slopes of the functions at x, one point
+    per bracket. Each element takes the steps `newton_root` takes on
+    its bracket, so it returns the same root. Every step evaluates f on
+    the whole array, a closed bracket at its last iterate.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     root = np.where(f_lo == 0.0, lo, hi)
     open_ = (f_lo != 0.0) & (f_hi != 0.0)
-    if (open_ & ((f_lo > 0.0) == (f_hi > 0.0))).any():
-        i = int(np.argmax(open_ & ((f_lo > 0.0) == (f_hi > 0.0))))
+    bad = open_ & ((f_lo > 0.0) == (f_hi > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NumericalError(
             f"newton_roots: no sign change on [{float(lo[i])!r}, "
             f"{float(hi[i])!r}]: f(lo)={float(f_lo[i])!r}, f(hi)={float(f_hi[i])!r}"
         )
     start_lo = f_lo > 0.0
     p, q = np.where(start_lo, lo, hi), np.where(start_lo, hi, lo)
-    f_p, d_p = np.where(start_lo, f_lo, f_hi), np.array(slope, dtype=float)
+    f_p, d_p = np.where(start_lo, f_lo, f_hi), slope
     g = np.where(start_lo, 0.5 * xtol, -0.5 * xtol)
-    idx = np.flatnonzero(open_)
     for _ in range(_MAX_ITER):
-        pi, qi = p[idx], q[idx]
-        done = np.abs(qi - pi) <= xtol
-        root[idx[done]] = 0.5 * (pi[done] + qi[done])
-        idx, pi, qi = idx[~done], pi[~done], qi[~done]
-        if idx.size == 0:
+        done = open_ & (np.abs(q - p) <= xtol)
+        root = np.where(done, 0.5 * (p + q), root)
+        open_ &= ~done
+        if not open_.any():
             return root
-        gi = g[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            units = -f_p[idx] / (d_p[idx] * gi)
-            step = np.maximum(np.floor(units), 1.0) * gi
-        newton = (units >= 0.0) & (units < (qi - pi) / gi)
-        x = np.where(newton, pi + step, 0.5 * (pi + qi))
-        f_x, d_x = f(x, idx)
-        root[idx] = x  # kept where f(x) = 0; otherwise overwritten
-        up = f_x > 0.0
-        p[idx[up]], f_p[idx[up]], d_p[idx[up]] = x[up], f_x[up], d_x[up]
-        q[idx[~up]] = x[~up]
-        idx = idx[f_x != 0.0]
-    root[idx] = 0.5 * (p[idx] + q[idx])
-    return root
+            units = -f_p / (d_p * g)
+            step = np.maximum(np.floor(units), 1.0) * g
+        newton = (units >= 0.0) & (units < (q - p) / g)
+        x = np.where(open_, np.where(newton, p + step, 0.5 * (p + q)), p)
+        f_x, d_x = f(x)
+        root = np.where(open_ & (f_x == 0.0), x, root)
+        open_ &= f_x != 0.0
+        up = open_ & (f_x > 0.0)
+        p, f_p, d_p = np.where(up, x, p), np.where(up, f_x, f_p), np.where(up, d_x, d_p)
+        q = np.where(open_ & ~up, x, q)
+    return np.where(open_, 0.5 * (p + q), root)
 
 
 def monotone_bisect(

@@ -7,10 +7,12 @@ have a fragmented feasible set (demand may dip when higher rewards
 push users off their data plans), so the solver scans demand, takes
 each run of feasible scan points as an interval (lo, hi), refines its
 ends, and optimizes revenue per interval with a dense grid followed by
-golden-section refinement. Revenue is discontinuous at the reward
-level q = phi*Q/F where subscribing stops paying at all, so an
-interval with lo < q <= hi is split into [lo, q (1 - 1e-9)] and
-[q, hi].
+golden-section refinement. Where that dense grid shows demand above
+the capacity inside an interval, a stretch the scan stepped over, the
+interval is split there in the same way and gridded again. Revenue is
+discontinuous at the reward level q = phi*Q/F where subscribing stops
+paying at all, so an interval with lo < q <= hi is split into
+[lo, q (1 - 1e-9)] and [q, hi].
 
 One search (`_solve_family`) serves every scheme: it takes each
 market's feasible reward pieces, the aware [0, D^-1(C)] or the unaware
@@ -21,28 +23,29 @@ together, since those two share demand, thresholds and feasible region.
 D^-1(C) and each boundary of the unaware feasible region are found by
 bisection: D^-1(C) by halving [case_bound_a, the first doubling whose
 demand exceeds C] until a midpoint has |D - C| <= 1e-6 C, a boundary by
-halving its scan cell to 1e-10 max(cap, 1), keeping the feasible end.
-`numerics.monotone_bisect` takes the midpoints of those plain loops and
-returns their answer, but evaluates demand at few of them: a midpoint
-between two evaluated rewards on one side of C is decided without an
-evaluation, and Illinois steps toward C place the evaluations. The
-answers equal plain bisection wherever demand is monotone between the
-rewards evaluated. Aware demand always is; unaware demand is where it
-crosses C once within the scan cell, but near a tangency with C (as at
-C = D(0) on markets whose demand dips) it wobbles by about 1e-10
-relative, the resolution of theta4, and a boundary can then move (by
-up to 3e-8 relative on 261 drawn markets), still to a reward whose
-demand was evaluated within C.
+halving its scan (or grid) cell to 1e-10 max(grid end, 1), keeping
+the feasible end. `numerics.monotone_bisect` takes the midpoints of
+those plain loops and returns their answer, but evaluates demand at
+few of them: a midpoint between two evaluated rewards on one side of C
+is decided without an evaluation, and Illinois steps toward C place
+the evaluations. The answers equal plain bisection wherever demand is
+monotone between the rewards evaluated. Aware demand always is;
+unaware demand is where it crosses C once within the scan cell, but
+near a tangency with C (as at C = D(0) on markets whose demand dips)
+it wobbles by about 1e-10 relative, the resolution of theta4, and a
+boundary can then move (by up to 3e-8 relative on 261 drawn markets),
+still to a reward whose demand was evaluated within C.
 
 `solve_capacities` is the one stage-I path (`solve` is its call at one
 capacity). Over a block of capacities it makes one array call of
 `evaluate_point` per phase (aware grids, unaware scans, unaware piece
-grids, each pass at most `_PASS_REWARDS` rewards); inversion, bisection
-and refinement stay per capacity, sharing a memo of scalar demand and
-stage II, which do not depend on C. The outcomes equal those of solving
-each capacity alone, bit for bit: every decision is the per-capacity
-one, and an array evaluation gives every reward the same bits however
-the rewards are batched.
+grids and the pieces their confirmation split, each pass at most
+`_PASS_REWARDS` rewards); inversion, bisection and refinement stay per
+capacity, sharing a memo of scalar demand and stage II, which do not
+depend on C. The outcomes equal those of solving each capacity alone,
+bit for bit: every decision is the per-capacity one, and an array
+evaluation gives every reward the same bits however the rewards are
+batched.
 """
 
 from __future__ import annotations
@@ -370,30 +373,22 @@ def _grid_with_breakpoints(a: float, b: float, n: int, breaks: list[float]) -> n
 
 
 def _intervals(
-    c: float, cap: float, grid: np.ndarray, demands: np.ndarray, sur_demand
+    c: float, grid: np.ndarray, demands: np.ndarray, feas: np.ndarray, sur_demand
 ) -> tuple[tuple[float, float], ...]:
-    """The feasible reward intervals at capacity c from its scan of
-    [0, cap]: each run of feasible scan points, its ends moved to the
-    boundaries in the neighbouring scan cells."""
-    # the zero reward is feasible within the tolerance MarketParams
-    # grants the capacity below D(0)
-    if demands[0] * (1.0 - CAPACITY_RTOL) > c:
-        raise InternalConsistencyError(
-            "zero reward infeasible despite capacity covering baseline demand"
-        )
-    feas = demands <= c
-    feas[0] = True
+    """The feasible reward intervals at capacity c on a grid of rewards
+    with their demands: each run of feasible grid points (flags `feas`),
+    its ends moved to the boundaries in the neighbouring grid cells."""
 
     def refine(i_feas: int, i_infeas: int) -> float:
-        # a feasible reward within 1e-10 max(cap, 1) of the boundary in
-        # the scan cell; the scan's demands only aim the first step
+        # a feasible reward within 1e-10 max(grid end, 1) of the boundary
+        # in the grid cell; the grid's demands only aim the first step
         w_feas, _, _ = monotone_bisect(
             sur_demand, grid[i_feas], grid[i_infeas], demands[i_feas],
-            demands[i_infeas], c, xtol=1e-10 * max(cap, 1.0), max_iter=80,
+            demands[i_infeas], c, xtol=1e-10 * max(grid[-1], 1.0), max_iter=80,
         )
         return w_feas
 
-    # each run of feasible scan points starts where the flags rise and
+    # each run of feasible grid points starts where the flags rise and
     # ends before they fall
     flips = np.diff(np.concatenate(([0], feas, [0])))
     intervals = []
@@ -418,10 +413,19 @@ def _feasible_regions(
         for cap in dict.fromkeys(ends)
     }
     scans = dict(zip(grids, _evaluate_grids(params, list(grids.values()), Scheme.SUR)))
-    return [
-        _intervals(c, cap, grids[cap], scans[cap].demand, sur_demand)
-        for c, cap in zip(capacities, ends)
-    ]
+    regions = []
+    for c, cap in zip(capacities, ends):
+        demands = scans[cap].demand
+        # the zero reward is feasible within the tolerance MarketParams
+        # grants the capacity below D(0)
+        if demands[0] * (1.0 - CAPACITY_RTOL) > c:
+            raise InternalConsistencyError(
+                "zero reward infeasible despite capacity covering baseline demand"
+            )
+        feas = demands <= c
+        feas[0] = True
+        regions.append(_intervals(c, grids[cap], demands, feas, sur_demand))
+    return regions
 
 
 def feasible_region(
@@ -431,10 +435,22 @@ def feasible_region(
     capacity, in ascending order.
 
     Scans demand on a dense grid, then sharpens every feasibility flip
-    by bisection, keeping the feasible side of each boundary.
+    by bisection, keeping the feasible side of each boundary, and
+    confirms the intervals on the revenue grids the solver searches
+    (`_confirm_pieces`): these are the intervals `solve` searches.
     """
-    sur_demand = _demand_at(params, Scheme.SUR)
-    return _feasible_regions(params, [params.C], config, sur_demand)[0]
+    pieces, breaks = _feasible_pieces(params, [params], (Scheme.SUR,), config)
+    grids, evals = _piece_grids(params, pieces, breaks, config, Scheme.SUR)
+    _confirm_pieces(params, [params], pieces, grids, evals, breaks, config)
+    # rejoin the pieces that the cut at phi*Q/F split
+    q = case_bound_d(params)
+    region: list[tuple[float, float]] = []
+    for a, b in pieces[0]:
+        if region and a == q and region[-1][1] == q * (1.0 - 1e-9):
+            region[-1] = (region[-1][0], b)
+        else:
+            region.append((a, b))
+    return tuple(region)
 
 
 def _check_band_monotone(
@@ -537,18 +553,13 @@ def _family_optima(
     return tuple(_outcome(market, s, pe) for s, pe in zip(family, best))
 
 
-def _solve_family(
-    params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
-    config: SolverConfig,
-) -> list[tuple[OperatorOutcome, ...]]:
-    """The optima of the family's schemes at each market.
-
-    Every piece gets a dense grid with the case bounds as breakpoints,
-    and all grids are evaluated in shared array passes. SUR and SURD are
-    searched on identical grids, which makes the differentiated scheme's
-    dominance over the pooled one hold point by point.
-    """
-    pieces, breaks = _feasible_pieces(params, markets, family, config)
+def _piece_grids(
+    params: MarketParams, pieces: list[list[tuple[float, float]]], breaks: list[float],
+    config: SolverConfig, scheme: Scheme,
+) -> tuple[list[list[np.ndarray]], list[list[PointEval]]]:
+    """Each market's piece grids, a dense grid per piece with the case
+    bounds as breakpoints, and their evaluations under the scheme, all
+    in shared array passes."""
     grids = [
         [
             _grid_with_breakpoints(a, b, config.grid_points, breaks)
@@ -557,10 +568,63 @@ def _solve_family(
         ]
         for market_pieces in pieces
     ]
-    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], family[0]))
+    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], scheme))
+    return grids, [[next(evals) for _ in gs] for gs in grids]
+
+
+def _confirm_pieces(
+    params: MarketParams, markets: list[MarketParams], pieces, grids, evals,
+    breaks: list[float], config: SolverConfig,
+) -> None:
+    """Confirm each market's unaware pieces on their grids, replacing
+    pieces, grids and evaluations in place where one fails.
+
+    The scan can step over a stretch of demand above C narrower than
+    its cells, and a piece then spans it. A piece whose grid holds an
+    interior reward with demand above C is split into its runs of
+    feasible grid points, their ends refined in the neighbouring grid
+    cells (`_intervals`), and the market's new pieces are gridded and
+    evaluated again. A piece's ends count as feasible: they are
+    boundaries already refined on scalar demand, the zero reward or the
+    cut at phi*Q/F."""
+    sur_demand = _demand_at(params, Scheme.SUR)
+    redo = []
+    for k, market in enumerate(markets):
+        if not any((e.demand[1:-1] > market.C).any() for e in evals[k]):
+            continue
+        redo.append(k)
+        pieces[k] = []
+        for grid, e in zip(grids[k], evals[k]):
+            feas = e.demand <= market.C
+            feas[[0, -1]] = True
+            pieces[k] += _intervals(market.C, grid, e.demand, feas, sur_demand)
+    if redo:
+        new_grids, new_evals = _piece_grids(
+            params, [pieces[k] for k in redo], breaks, config, Scheme.SUR
+        )
+        for k, market_grids, market_evals in zip(redo, new_grids, new_evals):
+            grids[k], evals[k] = market_grids, market_evals
+
+
+def _solve_family(
+    params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
+    config: SolverConfig,
+) -> list[tuple[OperatorOutcome, ...]]:
+    """The optima of the family's schemes at each market.
+
+    Every piece gets a dense grid with the case bounds as breakpoints,
+    and all grids are evaluated in shared array passes; the unaware
+    pieces are then confirmed on them (`_confirm_pieces`). SUR and SURD
+    are searched on identical grids, which makes the differentiated
+    scheme's dominance over the pooled one hold point by point.
+    """
+    pieces, breaks = _feasible_pieces(params, markets, family, config)
+    grids, evals = _piece_grids(params, pieces, breaks, config, family[0])
+    if family[0] is Scheme.SUR:
+        _confirm_pieces(params, markets, pieces, grids, evals, breaks, config)
     point = cache(lambda w: evaluate_point(params, w, family[0]))
-    return [_family_optima(m, family, gs, [next(evals) for _ in gs], point)
-            for m, gs in zip(markets, grids)]
+    return [_family_optima(m, family, gs, es, point)
+            for m, gs, es in zip(markets, grids, evals)]
 
 
 # ---------------------------------------------------------------------------

@@ -287,12 +287,13 @@ def root_resolution(params: MarketParams) -> float:
 
 def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
     """Root of the convex g(params, w)(theta) on [lo, hi] (lo < hi),
-    across which g rises (rising) or falls through 0: lo, or else hi,
-    where the root sits on that end (exactly at a case boundary), else
-    bracketed Newton from the end where g > 0 to `root_resolution`/2.
-    An end whose sign is off by more than 1e-9 F raises
-    InternalConsistencyError. Elementwise, by `newton_roots`, when w is
-    an array; each reward then takes the steps its scalar solve takes."""
+    across which g rises (rising) or falls through 0, by bracketed
+    Newton from the end where g > 0 to `root_resolution`/2. Where the
+    root sits on an end (exactly at a case boundary), g there is taken
+    as 0, so the root is lo, or else hi. An end whose sign is off by
+    more than 1e-9 F raises InternalConsistencyError. Elementwise, by
+    `newton_roots`, when w is an array; each reward then takes the
+    steps its scalar solve takes."""
     f = g(params, w)
     (f_lo, slope_lo), (f_hi, slope_hi) = f(lo), f(hi)
     sign = 1.0 if rising else -1.0  # sign * g rises through 0
@@ -310,19 +311,9 @@ def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
     slope = slope_hi if rising else slope_lo
     xtol = root_resolution(params)
     if isinstance(w, np.ndarray):
-        root = np.where(at_lo, lo, hi)
-        inner = ~at_lo & ~at_hi
-        if inner.any():
-            w_in = w[inner]
-            root[inner] = newton_roots(
-                lambda t, i: g(params, w_in[i])(t), lo[inner], hi[inner], xtol,
-                f_lo[inner], f_hi[inner], slope[inner],
-            )
-        return root
-    if at_lo:
-        return lo
-    if at_hi:
-        return hi
+        f_lo, f_hi = np.where(at_lo, 0.0, f_lo), np.where(at_hi, 0.0, f_hi)
+        return newton_roots(f, lo, hi, xtol, f_lo, f_hi, slope)
+    f_lo, f_hi = (0.0 if at_lo else f_lo), (0.0 if at_hi else f_hi)
     return newton_root(f, lo, hi, xtol, f_lo, f_hi, slope)
 
 
@@ -375,9 +366,9 @@ def solve_theta4(params: MarketParams, w):
 
 
 def _watch_subscriber(params: MarketParams, theta, w):
-    """`x_watch_subscriber` at a float type, or at an array of positive
-    types (such as the stage-II quadrature nodes) and a float reward or
-    one reward per type."""
+    """Ads watched by a subscriber with binding quota Q, at a float
+    type, or at an array of positive types (such as the stage-II
+    quadrature nodes) and a float reward or one reward per type."""
     x = (_x_level(params, theta, w) - params.Q) / w
     if isinstance(x, np.ndarray):
         return np.maximum(x, 0.0)
@@ -385,32 +376,9 @@ def _watch_subscriber(params: MarketParams, theta, w):
 
 
 def _watch_alone(params: MarketParams, theta, w):
-    """`x_watch_alone` where `_watch_subscriber` applies."""
+    """Ads watched by a non-subscriber, whose data all comes from
+    rewards, where `_watch_subscriber` applies."""
     return _x_level(params, theta, w) / w
-
-
-def _at_any_types(watch, params: MarketParams, theta, w: float):
-    """watch(params, theta, w), which takes only positive types in an
-    array, with 0 ads at an array's types theta <= 0, as at a float."""
-    if not isinstance(theta, np.ndarray):
-        return watch(params, theta, w)
-    x = np.zeros(theta.shape)
-    live = theta > 0.0
-    x[live] = watch(params, theta[live], w)
-    return x
-
-
-def x_watch_subscriber(params: MarketParams, theta, w: float):
-    """Ads watched by a subscriber with binding quota Q; theta may be
-    a float or an array, and a type theta = 0 watches none."""
-    return _at_any_types(_watch_subscriber, params, theta, w)
-
-
-def x_watch_alone(params: MarketParams, theta, w: float):
-    """Ads watched by a non-subscriber (all data comes from rewards);
-    theta may be a float or an array, and a type theta = 0 watches
-    none."""
-    return _at_any_types(_watch_alone, params, theta, w)
 
 
 def _case_rules(t0, t1, t3, root, top, scheme_aware: bool) -> tuple:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from datarewards import (
 )
 from datarewards.cli import fmt_value, main
 from datarewards.presets import PRESETS
+from families import NARROW_EXCESS_MARKETS
 
 
 @pytest.fixture(scope="module")
@@ -521,6 +523,65 @@ def test_count_flag_out_of_range_exit_4_before_any_work(
     assert code == 4
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--from", "1.2e7", "--to", "inf", "--steps", "3"],
+     "--to must be a finite capacity, got inf"),
+    (["sweep", "--from", "nan", "--to", "1.6e7", "--steps", "3"],
+     "--from must be a finite capacity, got nan"),
+    (["sweep", "--from=-1e999", "--to", "1.6e7", "--steps", "3"],
+     "--from must be a finite capacity, got -inf"),
+    (["thresholds", "--scheme", "sur", "--to", "inf"],
+     "--to must be a finite reward, got inf"),
+    (["thresholds", "--scheme", "sur", "--from", "nan", "--to", "0.01"],
+     "--from must be a finite reward, got nan"),
+    (["thresholds", "--scheme", "sur", "--responses-at", "nan"],
+     "--responses-at must be a finite reward, got nan"),
+])
+def test_non_finite_float_flag_exit_4(capsys, scenario_file, argv, message):
+    # inf reached np.linspace, which warned of an invalid value and
+    # failed on NaN capacities or rewards; nan met the --from < --to
+    # check or no check at all
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, [*argv, "--scenario", scenario_file])
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reproduce", "appK", "--grid", "1"], "--grid must lie in [2, 100000], got 1"),
+    (["reproduce", "fig99"], "unknown figure id 'fig99'"),
+    (["solve", "--scheme", "foo"], "unknown scheme 'foo'"),
+    (["sweep", "--from", "1.6e7", "--to", "1.2e7", "--steps", "2"],
+     "sweep needs --from < --to"),
+    (["thresholds", "--scheme", "sur", "--from", "0.01", "--to", "0.001"],
+     "threshold dump needs --from < --to"),
+])
+def test_flag_error_is_not_a_scenario_error(capsys, scenario_file, argv, message):
+    # "error: invalid scenario: ..." although the scenario was valid
+    if argv[0] != "reproduce":
+        argv = [*argv, "--scenario", scenario_file]
+    code, out, err = _run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error: {message}") and "invalid scenario" not in err
+
+
+def test_solve_fits_a_capacity_the_coarse_scan_steps_over(capsys, tmp_path):
+    # --grid 120 scans 120 rewards, and SUR's optimum lay 1.8e-3 above C
+    p = NARROW_EXCESS_MARKETS["seed18-960"]
+    path = tmp_path / "narrow.json"
+    save_scenario(p, str(path))
+    code, out, _ = _run(capsys, ["solve", "--scenario", str(path), "--scheme", "sur",
+                                 "--grid", "120", "--format", "json"])
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["demand"] <= p.C
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from datarewards import (
 from datarewards.model import _normal_mass, integrate_segments, mass
 from datarewards.presets import PRESETS
 from datarewards.users import (
+    _watch_alone,
+    _watch_subscriber,
     case_bound_d,
     thresholds,
-    x_watch_alone,
-    x_watch_subscriber,
 )
 from families import narrow_normals
 
@@ -281,7 +281,7 @@ def _segment_moments_match_quad(params, w, scheme) -> list:
     segments = [
         (lo, hi, xfun)
         for (lo, hi), xfun in (
-            (part.alone_watch, x_watch_alone), (part.sub_watch, x_watch_subscriber)
+            (part.alone_watch, _watch_alone), (part.sub_watch, _watch_subscriber)
         )
         if hi > lo
     ]

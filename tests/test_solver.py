@@ -47,7 +47,7 @@ from datarewards.users import (
     root_resolution,
     thresholds,
 )
-from families import FAMILY_BASES, narrow_normals, perturbed
+from families import FAMILY_BASES, NARROW_EXCESS_MARKETS, narrow_normals, perturbed
 
 FAST = SolverConfig(grid_points=300, scan_points=200)
 
@@ -109,19 +109,19 @@ def test_unaware_demand_dips():
 
 def _demand_by_segments(p, w, scheme) -> float:
     """Demand integrated segment by segment, each data term on its own."""
-    from datarewards.users import x_watch_alone, x_watch_subscriber
+    from datarewards.users import _watch_alone, _watch_subscriber
 
     thr = thresholds(p, w, scheme_aware=scheme is Scheme.SAR)
     tm = p.dist.theta_max
     # SAR case C: every subscriber (theta >= theta2 > theta1) watches
     lo = thr.theta2 if scheme is Scheme.SAR else min(thr.theta1, tm)
     topped_up = integrate(
-        p.dist, lambda t: p.Q + w * x_watch_subscriber(p, t, w), lo, tm
+        p.dist, lambda t: p.Q + w * _watch_subscriber(p, t, w), lo, tm
     )
     if scheme is Scheme.SAR:
         return p.N * topped_up
     alone = integrate(
-        p.dist, lambda t: w * x_watch_alone(p, t, w), thr.theta3, min(thr.theta4, tm)
+        p.dist, lambda t: w * _watch_alone(p, t, w), thr.theta3, min(thr.theta4, tm)
     )
     return p.N * (alone + p.Q * mass(p.dist, thr.theta4, thr.theta1) + topped_up)
 
@@ -525,6 +525,30 @@ def test_feasible_region_boundaries_sharp(fig5a_params):
     assert demand(p, b * (1.0 + 1e-6), Scheme.SUR) > p.C
 
 
+COARSE_SCAN = SolverConfig(grid_points=150, scan_points=120)
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_EXCESS_MARKETS))
+def test_unaware_optima_fit_a_capacity_the_scan_steps_over(name):
+    p = NARROW_EXCESS_MARKETS[name]
+    for scheme in (Scheme.SUR, Scheme.SURD):
+        out = solve(p, scheme, COARSE_SCAN)
+        assert demand(p, out.omega_star, Scheme.SUR) <= p.C, scheme
+
+
+def test_feasible_region_holds_the_stretch_the_scan_steps_over():
+    p = NARROW_EXCESS_MARKETS["seed18-960"]
+    # at 600 scan points the scan itself finds both intervals
+    want = feasible_region(p, SolverConfig(grid_points=150, scan_points=600))
+    got = feasible_region(p, COARSE_SCAN)
+    assert len(got) == len(want) == 2
+    for (a, b), (want_a, want_b) in zip(got, want):
+        assert a == pytest.approx(want_a, rel=1e-8)
+        assert b == pytest.approx(want_b, rel=1e-8)
+    (_, gap_lo), (gap_hi, _) = got
+    assert demand(p, 0.5 * (gap_lo + gap_hi), Scheme.SUR) > p.C
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_capacity_within_tolerance_below_baseline_solves(scheme):
     # MarketParams accepts C down to D(0) (1 - 1e-12); the zero reward
@@ -570,7 +594,7 @@ def test_inverted_interval_rejected(monkeypatch):
         lambda f, w_feas, w_infeas, *args, **kw: (w_feas - 0.5 * (w_infeas - w_feas), 0, 0),
     )
     with pytest.raises(InternalConsistencyError, match=r"inverted interval \[3.5, 2.5\]"):
-        solver_mod._intervals(2.0, 4.0, grid, demands, lambda w: 0.0)
+        solver_mod._intervals(2.0, grid, demands, demands <= 2.0, lambda w: 0.0)
 
 
 def _split_at_discontinuity(intervals, q):
@@ -725,7 +749,9 @@ def test_bisection_phases_equal_plain_bisection(base, logs, shares, dist):
         cap = solver_mod._omega_cap(p, c, sur_demand)
         grid = solver_mod._grid_with_breakpoints(0.0, cap, 120, breaks)
         demands = evaluate_point(p, grid, Scheme.SUR).demand
-        got = solver_mod._intervals(c, cap, grid, demands, sur_demand)
+        feas = demands <= c
+        feas[0] = True
+        got = solver_mod._intervals(c, grid, demands, feas, sur_demand)
         want = _plain_intervals(c, cap, grid, demands, sur_demand)
         assert len(got) == len(want)
         for end, want_end in zip(np.ravel(got), np.ravel(want)):
@@ -760,7 +786,7 @@ def test_runs_of_feasible_scan_points_equal_the_flag_walk(flags):
     demands = np.where(flags, 1.0, 3.0)
     demands[0] = 1.0
     sur_demand = lambda w: float(np.interp(w, grid, demands))  # noqa: E731
-    got = solver_mod._intervals(2.0, grid[-1], grid, demands, sur_demand)
+    got = solver_mod._intervals(2.0, grid, demands, demands <= 2.0, sur_demand)
     assert got == _plain_intervals(2.0, grid[-1], grid, demands, sur_demand)
 
 

@@ -382,47 +382,45 @@ def test_array_h_and_v_at_zero_type_match_the_float_forms():
 
 
 @_strict
-@pytest.mark.parametrize("utility", [
-    LogUtility(), AlphaFairUtility(alpha=0.8, mu=0.8),
-    AlphaFairUtility(alpha=0.5, mu=0.0), ExpUtility(gamma=0.7),
-])
-def test_array_watch_maps_at_zero_type_match_the_float_forms(utility):
-    # an array holding theta = 0 used to raise DomainError (u'(0)
-    # finite, bar log) or warn of a division by zero (log)
-    p = _mk(utility, UniformTypes(155.0), F=10.0)
-    theta = np.array([0.0, 100.0, 0.0, 155.0])
-    for w in (0.01, case_bound_d(p)):
-        for xfun in (users_mod.x_watch_alone, users_mod.x_watch_subscriber):
-            got = xfun(p, theta, w)
-            assert got.tolist() == [xfun(p, float(t), w) for t in theta]
-            assert got[0] == 0.0
-
-
-@_strict
 def test_newton_roots_take_the_scalar_steps():
     # the same arithmetic on floats and arrays: bit-equal roots, within
     # xtol/2 of the exact root, for convex cubes rising (y = x) and
     # falling (y = 2 - x), including brackets that end at a root or
-    # start narrower than xtol
-    c = np.array([2.0, 3.0, 0.0, 8.0, 1e-6, 4.9130000000001] * 2)
-    lo = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.7] * 2)
-    hi = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.7 + 1e-13] * 2)
-    falling = np.repeat([False, True], 6)
+    # start narrower than xtol. The last two of each kind end within
+    # 1e-14 of their root, and their end values are passed as 0, as
+    # `_case_c_root` passes a root on a case boundary; every step
+    # evaluates f on the whole array, open and closed brackets alike
+    c = np.array(
+        [2.0, 3.0, 0.0, 8.0, 1e-6, 4.9130000000001, 1.0 + 1e-15, 8.0 - 1e-14] * 2
+    )
+    lo = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.7, 1.0, 1.0] * 2)
+    hi = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.7 + 1e-13, 2.0, 2.0] * 2)
+    falling = np.repeat([False, True], 8)
     lo[falling], hi[falling] = 2.0 - hi[falling], 2.0 - lo[falling]
     sign = np.where(falling, -1.0, 1.0)
+    on_end = np.tile(np.arange(8) >= 6, 2)
     xtol = 1e-12
+    sizes = []
 
-    def f(x, k):
+    def f_at(x, k):
         y = np.where(falling[k], 2.0 - x, x)
         return y * y * y - c[k], 3.0 * y * y * sign[k]
 
+    def f(x):
+        sizes.append(len(x))
+        return f_at(x, idx)
+
     idx = np.arange(len(c))
-    (f_lo, d_lo), (f_hi, d_hi) = f(lo, idx), f(hi, idx)
+    (f_lo, d_lo), (f_hi, d_hi) = f_at(lo, idx), f_at(hi, idx)
+    assert np.all((f_lo != 0.0) & (f_hi != 0.0) | ~on_end)
+    f_lo = np.where(on_end & (np.abs(f_lo) < np.abs(f_hi)), 0.0, f_lo)
+    f_hi = np.where(on_end & (f_lo != 0.0), 0.0, f_hi)
     slope = np.where(f_lo > 0.0, d_lo, d_hi)
     got = newton_roots(f, lo, hi, xtol, f_lo, f_hi, slope)
+    assert sizes and set(sizes) == {len(c)}
     for k in idx:
         def f_k(x, k=k):
-            value, d = f(np.array([x]), np.array([k]))
+            value, d = f_at(np.array([x]), np.array([k]))
             return float(value[0]), float(d[0])
 
         want = newton_root(
@@ -432,6 +430,8 @@ def test_newton_roots_take_the_scalar_steps():
         assert got[k] == want
         exact = np.cbrt(c[k])
         assert abs(got[k] - (2.0 - exact if falling[k] else exact)) <= 0.5 * xtol
+    # a zeroed end is the root, lo before hi
+    assert got[on_end].tolist() == np.where(f_lo == 0.0, lo, hi)[on_end].tolist()
 
 
 def _count_evals(monkeypatch):
