@@ -4,21 +4,19 @@ slot price(s) under a network capacity constraint.
 The aware scheme has a single feasible reward interval [0, D^-1(C)]
 because demand only grows with the reward. The unaware schemes can
 have a fragmented feasible set (demand may dip when higher rewards
-push users off their data plans), so the solver scans demand, takes
-each run of feasible scan points as an interval (lo, hi), refines its
-ends, and optimizes revenue per interval with a dense grid followed by
-golden-section refinement. Where that dense grid shows demand above
-the capacity inside an interval, a stretch the scan stepped over, the
-interval is split there in the same way and gridded again. Revenue is
-discontinuous at the reward level q = phi*Q/F where subscribing stops
-paying at all, so an interval with lo < q <= hi is split into
-[lo, q (1 - 1e-9)] and [q, hi].
+push users off their data plans). `_unaware_pieces` finds its pieces
+with one split step, applied to a demand scan and then to the pieces'
+revenue grids, which can show demand above the capacity inside a piece
+where the scan stepped over it. Revenue is discontinuous at the reward
+q = phi*Q/F where subscribing stops paying at all, so the step also
+cuts the pieces there.
 
 One search (`_solve_family`) serves every scheme: it takes each
 market's feasible reward pieces, the aware [0, D^-1(C)] or the unaware
-intervals split at phi*Q/F, and maximizes each scheme's revenue over them.
-It solves one scheme family at a time, SAR alone or SUR and SURD
-together, since those two share demand, thresholds and feasible region.
+pieces, and maximizes each scheme's revenue over them with a dense
+grid followed by golden-section refinement. It solves one scheme
+family at a time, SAR alone or SUR and SURD together, since those two
+share demand, thresholds and feasible region.
 
 D^-1(C) and each boundary of the unaware feasible region are found by
 bisection: D^-1(C) by halving [case_bound_a, the first doubling whose
@@ -38,14 +36,14 @@ still to a reward whose demand was evaluated within C.
 
 `solve_capacities` is the one stage-I path (`solve` is its call at one
 capacity). Over a block of capacities it makes one array call of
-`evaluate_point` per phase (aware grids, unaware scans, unaware piece
-grids and the pieces their confirmation split, each pass at most
-`_PASS_REWARDS` rewards); inversion, bisection and refinement stay per
-capacity, sharing a memo of scalar demand and stage II, which do not
-depend on C. The outcomes equal those of solving each capacity alone,
-bit for bit: every decision is the per-capacity one, and an array
-evaluation gives every reward the same bits however the rewards are
-batched.
+`evaluate_point` per phase (`_grids`: aware grids, unaware scans,
+unaware piece grids and the pieces of the second split, each pass at
+most `_PASS_REWARDS` rewards); inversion, bisection and refinement stay
+per capacity, sharing a memo of scalar demand and stage II, which do
+not depend on C. The outcomes equal those of solving each capacity
+alone, bit for bit: every decision is the per-capacity one, and an
+array evaluation gives every reward the same bits however the rewards
+are batched.
 """
 
 from __future__ import annotations
@@ -401,31 +399,83 @@ def _intervals(
     return tuple(intervals)
 
 
-def _feasible_regions(
-    params: MarketParams, capacities: list[float], config: SolverConfig, sur_demand
-) -> list[tuple[tuple[float, float], ...]]:
-    """`feasible_region` at each capacity, from one scan pass over the
-    distinct scan grids: capacities with the same search end share one."""
-    breaks = [case_bound_a(params), case_bound_b_sur(params), case_bound_d(params)]
-    ends = [_omega_cap(params, c, sur_demand) for c in capacities]
-    grids = {
-        cap: _grid_with_breakpoints(0.0, cap, config.scan_points, breaks)
-        for cap in dict.fromkeys(ends)
-    }
-    scans = dict(zip(grids, _evaluate_grids(params, list(grids.values()), Scheme.SUR)))
-    regions = []
-    for c, cap in zip(capacities, ends):
-        demands = scans[cap].demand
+def _grids(
+    params: MarketParams, pieces: list[list[tuple[float, float]]], n: int,
+    breaks: list[float], scheme: Scheme,
+) -> tuple[list[list[np.ndarray]], list[list[PointEval]]]:
+    """Each market's piece grids, n rewards per piece with the breaks
+    inside it added (a point piece is its one reward), and their
+    evaluations under the scheme, all in shared array passes."""
+    grids = [
+        [_grid_with_breakpoints(a, b, n, breaks) if b > a else np.array([a])
+         for a, b in market_pieces]
+        for market_pieces in pieces
+    ]
+    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], scheme))
+    return grids, [[next(evals) for _ in gs] for gs in grids]
+
+
+def _unaware_pieces(
+    params: MarketParams, markets: list[MarketParams], config: SolverConfig
+) -> tuple[list[list[tuple[float, float]]], list[list[np.ndarray]], list[list[PointEval]]]:
+    """Each market's unaware reward pieces, their grids and their SUR
+    evaluations, from one split step applied twice.
+
+    `split` turns a market's grids into runs of feasible points,
+    refines the run ends in the neighbouring grid cells (`_intervals`),
+    and cuts each run at q = phi*Q/F, where revenue jumps: one with
+    a < q <= b becomes [a, q (1 - 1e-9)] and [q, b], since the
+    high-reward side's formulas apply at q itself, and a piece the cut
+    leaves empty is dropped. It splits first the demand scan of [0, the
+    search end], whose zero reward counts as feasible. The scan can step
+    over a stretch of demand above C narrower than its cells, and a piece
+    then spans it; so a market whose piece grids hold an interior reward
+    with demand above C has them split again, every piece end counting
+    as feasible (each is a refined boundary, the zero reward or the cut
+    at q), and its new pieces gridded again. q is a breakpoint of every
+    grid, but lies strictly inside none but the scan's."""
+    sur_demand = _demand_at(params, Scheme.SUR)
+    q = case_bound_d(params)
+    breaks = [case_bound_a(params), case_bound_b_sur(params), q]
+
+    def split(c: float, grids, evals, ends: list[int]) -> list[tuple[float, float]]:
+        pieces = []
+        for grid, e in zip(grids, evals):
+            feas = e.demand <= c
+            feas[ends] = True
+            for a, b in _intervals(c, grid, e.demand, feas, sur_demand):
+                cut = [(a, q * (1.0 - 1e-9)), (q, b)] if a < q <= b else [(a, b)]
+                pieces += [(lo, hi) for lo, hi in cut if hi >= lo]
+        return pieces
+
+    # one scan per distinct search end, shared by the capacities with it
+    caps = [_omega_cap(params, m.C, sur_demand) for m in markets]
+    scan_caps = list(dict.fromkeys(caps))
+    scan_grids, scan_evals = _grids(
+        params, [[(0.0, cap)] for cap in scan_caps], config.scan_points, breaks, Scheme.SUR
+    )
+    scans = dict(zip(scan_caps, zip(scan_grids, scan_evals)))
+    pieces = []
+    for m, cap in zip(markets, caps):
+        grids, evals = scans[cap]
         # the zero reward is feasible within the tolerance MarketParams
         # grants the capacity below D(0)
-        if demands[0] * (1.0 - CAPACITY_RTOL) > c:
+        if evals[0].demand[0] * (1.0 - CAPACITY_RTOL) > m.C:
             raise InternalConsistencyError(
                 "zero reward infeasible despite capacity covering baseline demand"
             )
-        feas = demands <= c
-        feas[0] = True
-        regions.append(_intervals(c, grids[cap], demands, feas, sur_demand))
-    return regions
+        pieces.append(split(m.C, grids, evals, [0]))
+    grids, evals = _grids(params, pieces, config.grid_points, breaks, Scheme.SUR)
+    redo = [k for k, m in enumerate(markets)
+            if any((e.demand[1:-1] > m.C).any() for e in evals[k])]
+    for k in redo:
+        pieces[k] = split(markets[k].C, grids[k], evals[k], [0, -1])
+    regrids = _grids(
+        params, [pieces[k] for k in redo], config.grid_points, breaks, Scheme.SUR
+    )
+    for k, market_grids, market_evals in zip(redo, *regrids):
+        grids[k], evals[k] = market_grids, market_evals
+    return pieces, grids, evals
 
 
 def feasible_region(
@@ -434,14 +484,12 @@ def feasible_region(
     """Reward intervals (lo, hi) where unaware-scheme demand fits the
     capacity, in ascending order.
 
-    Scans demand on a dense grid, then sharpens every feasibility flip
-    by bisection, keeping the feasible side of each boundary, and
-    confirms the intervals on the revenue grids the solver searches
-    (`_confirm_pieces`): these are the intervals `solve` searches.
+    Scans demand on a dense grid, sharpens every feasibility flip by
+    bisection, keeping the feasible side of each boundary, and confirms
+    the intervals on the revenue grids the solver searches: these are
+    the pieces `solve` searches (`_unaware_pieces`), rejoined at phi*Q/F.
     """
-    pieces, breaks = _feasible_pieces(params, [params], (Scheme.SUR,), config)
-    grids, evals = _piece_grids(params, pieces, breaks, config, Scheme.SUR)
-    _confirm_pieces(params, [params], pieces, grids, evals, breaks, config)
+    pieces, _, _ = _unaware_pieces(params, [params], config)
     # rejoin the pieces that the cut at phi*Q/F split
     q = case_bound_d(params)
     region: list[tuple[float, float]] = []
@@ -487,36 +535,6 @@ _OBJECTIVE = {
 }
 
 
-def _feasible_pieces(
-    params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
-    config: SolverConfig,
-) -> tuple[list[list[tuple[float, float]]], list[float]]:
-    """The reward pieces to search at each market, and the case bounds
-    that every grid on them holds. Aware demand only grows with the
-    reward, so its one piece is [0, D^-1(C)]. The unaware feasible
-    intervals are split at q = phi*Q/F, where revenue jumps: one with
-    a < q <= b becomes [a, q (1 - 1e-9)] and [q, b], since the
-    high-reward side's formulas apply at q itself, and a piece the cut
-    leaves empty is dropped."""
-    if family[0] is Scheme.SAR:
-        sar_demand = _demand_at(params, Scheme.SAR)
-        pieces = [[(0.0, _demand_inverse(params, m.C, sar_demand))] for m in markets]
-        return pieces, [case_bound_a(params), case_bound_b_sar(params)]
-    sur_demand = _demand_at(params, Scheme.SUR)
-    regions = _feasible_regions(params, [m.C for m in markets], config, sur_demand)
-    q = case_bound_d(params)
-    pieces = [
-        [
-            piece
-            for a, b in region
-            for piece in ([(a, q * (1.0 - 1e-9)), (q, b)] if a < q <= b else [(a, b)])
-            if piece[1] >= piece[0]
-        ]
-        for region in regions
-    ]
-    return pieces, [case_bound_a(params), case_bound_b_sur(params)]
-
-
 def _family_optima(
     market: MarketParams, family: tuple[Scheme, ...], grids: list[np.ndarray],
     evals: list[PointEval], point,
@@ -553,59 +571,6 @@ def _family_optima(
     return tuple(_outcome(market, s, pe) for s, pe in zip(family, best))
 
 
-def _piece_grids(
-    params: MarketParams, pieces: list[list[tuple[float, float]]], breaks: list[float],
-    config: SolverConfig, scheme: Scheme,
-) -> tuple[list[list[np.ndarray]], list[list[PointEval]]]:
-    """Each market's piece grids, a dense grid per piece with the case
-    bounds as breakpoints, and their evaluations under the scheme, all
-    in shared array passes."""
-    grids = [
-        [
-            _grid_with_breakpoints(a, b, config.grid_points, breaks)
-            if b > a else np.array([a])
-            for a, b in market_pieces
-        ]
-        for market_pieces in pieces
-    ]
-    evals = iter(_evaluate_grids(params, [g for gs in grids for g in gs], scheme))
-    return grids, [[next(evals) for _ in gs] for gs in grids]
-
-
-def _confirm_pieces(
-    params: MarketParams, markets: list[MarketParams], pieces, grids, evals,
-    breaks: list[float], config: SolverConfig,
-) -> None:
-    """Confirm each market's unaware pieces on their grids, replacing
-    pieces, grids and evaluations in place where one fails.
-
-    The scan can step over a stretch of demand above C narrower than
-    its cells, and a piece then spans it. A piece whose grid holds an
-    interior reward with demand above C is split into its runs of
-    feasible grid points, their ends refined in the neighbouring grid
-    cells (`_intervals`), and the market's new pieces are gridded and
-    evaluated again. A piece's ends count as feasible: they are
-    boundaries already refined on scalar demand, the zero reward or the
-    cut at phi*Q/F."""
-    sur_demand = _demand_at(params, Scheme.SUR)
-    redo = []
-    for k, market in enumerate(markets):
-        if not any((e.demand[1:-1] > market.C).any() for e in evals[k]):
-            continue
-        redo.append(k)
-        pieces[k] = []
-        for grid, e in zip(grids[k], evals[k]):
-            feas = e.demand <= market.C
-            feas[[0, -1]] = True
-            pieces[k] += _intervals(market.C, grid, e.demand, feas, sur_demand)
-    if redo:
-        new_grids, new_evals = _piece_grids(
-            params, [pieces[k] for k in redo], breaks, config, Scheme.SUR
-        )
-        for k, market_grids, market_evals in zip(redo, new_grids, new_evals):
-            grids[k], evals[k] = market_grids, market_evals
-
-
 def _solve_family(
     params: MarketParams, markets: list[MarketParams], family: tuple[Scheme, ...],
     config: SolverConfig,
@@ -613,15 +578,19 @@ def _solve_family(
     """The optima of the family's schemes at each market.
 
     Every piece gets a dense grid with the case bounds as breakpoints,
-    and all grids are evaluated in shared array passes; the unaware
-    pieces are then confirmed on them (`_confirm_pieces`). SUR and SURD
-    are searched on identical grids, which makes the differentiated
-    scheme's dominance over the pooled one hold point by point.
+    and all grids are evaluated in shared array passes: SAR's one piece
+    [0, D^-1(C)] per market, or the unaware pieces (`_unaware_pieces`).
+    SUR and SURD are searched on identical grids, which makes the
+    differentiated scheme's dominance over the pooled one hold point by
+    point.
     """
-    pieces, breaks = _feasible_pieces(params, markets, family, config)
-    grids, evals = _piece_grids(params, pieces, breaks, config, family[0])
-    if family[0] is Scheme.SUR:
-        _confirm_pieces(params, markets, pieces, grids, evals, breaks, config)
+    if family[0] is Scheme.SAR:
+        sar_demand = _demand_at(params, Scheme.SAR)
+        pieces = [[(0.0, _demand_inverse(params, m.C, sar_demand))] for m in markets]
+        breaks = [case_bound_a(params), case_bound_b_sar(params)]
+        grids, evals = _grids(params, pieces, config.grid_points, breaks, Scheme.SAR)
+    else:
+        _, grids, evals = _unaware_pieces(params, markets, config)
     point = cache(lambda w: evaluate_point(params, w, family[0]))
     return [_family_optima(m, family, gs, es, point)
             for m, gs, es in zip(markets, grids, evals)]

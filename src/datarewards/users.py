@@ -97,8 +97,11 @@ MIN_REWARD = 1e-300
 def _check_reward(w) -> None:
     """Raise DomainError unless the reward w is 0 or lies in
     [MIN_REWARD, inf), naming the first bad entry of an array: a
-    negative, NaN or infinite reward has no partition."""
+    negative, NaN or infinite reward has no partition. An array must be
+    1-D: stage II's array path handles one axis of rewards."""
     if isinstance(w, np.ndarray):
+        if w.ndim != 1:
+            raise DomainError(f"a reward array must be 1-D, got shape {w.shape}")
         bad = ~((w == 0.0) | ((w >= MIN_REWARD) & (w < math.inf)))
     else:
         bad = not (w == 0.0 or MIN_REWARD <= w < math.inf)

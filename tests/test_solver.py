@@ -599,7 +599,7 @@ def test_inverted_interval_rejected(monkeypatch):
 
 def _split_at_discontinuity(intervals, q):
     """The collapse-reward split as three cases, kept as the reference
-    for `_feasible_pieces`' one rule."""
+    for `_unaware_pieces`' one rule."""
     out = []
     for a, b in intervals:
         if a < q < b:
@@ -627,13 +627,56 @@ def test_one_split_rule_equals_the_three_cases(fig5a_params, monkeypatch):
         (q * (1.0 - 5e-10), q),  # starting and ending within it
         (q * (1.0 - 5e-10), 1.5 * q),
     ]
-    monkeypatch.setattr(
-        solver_mod, "_feasible_regions", lambda params, cs, config, d: [cases]
-    )
-    pieces, _ = solver_mod._feasible_pieces(p, [p], (Scheme.SUR, Scheme.SURD), FAST)
+    calls = []
+
+    def intervals(c, grid, demands, feas, sur_demand):
+        # the scan yields the cases; a second split keeps each piece whole
+        calls.append(len(grid))
+        return tuple(cases) if len(calls) == 1 else ((float(grid[0]), float(grid[-1])),)
+
+    monkeypatch.setattr(solver_mod, "_intervals", intervals)
+    pieces, grids, _ = solver_mod._unaware_pieces(p, [p], FAST)
     want = [(a, b) for a, b in _split_at_discontinuity(cases, q) if b >= a]
     assert pieces == [want]
     assert (q, q) in want and (q * (1.0 - 5e-10), q) not in want
+    assert [(g[0], g[-1]) for g in grids[0]] == want
+
+
+@pytest.mark.parametrize("name", ["fig5a", *sorted(NARROW_EXCESS_MARKETS)])
+def test_unaware_solve_shares_one_demand_memo(name, monkeypatch):
+    # the confirmation of the pieces once built a second memo of scalar
+    # demand; and only a market whose piece grids show demand above C
+    # inside a piece takes a third array pass, over its new pieces
+    if name == "fig5a":
+        p, config = PRESETS["fig5a"].params(1.6e7), FAST
+    else:
+        p, config = NARROW_EXCESS_MARKETS[name], COARSE_SCAN
+    memos, passes = [], []
+    memo = solver_mod._demand_at
+    point = solver_mod.evaluate_point
+
+    def counted_memo(params, scheme):
+        memos.append(scheme)
+        return memo(params, scheme)
+
+    def counted_point(params, w, scheme):
+        if isinstance(w, np.ndarray):
+            passes.append(len(w))
+        return point(params, w, scheme)
+
+    monkeypatch.setattr(solver_mod, "_demand_at", counted_memo)
+    monkeypatch.setattr(solver_mod, "evaluate_point", counted_point)
+    pieces, grids, _ = solver_mod._unaware_pieces(p, [p], config)
+    assert memos == [Scheme.SUR]
+    # the scan holds scan_points rewards and the case bounds inside it
+    assert config.scan_points <= passes[0] <= config.scan_points + 3
+    assert passes[1] >= config.grid_points
+    assert len(passes) == (2 if name == "fig5a" else 3)
+    assert passes[-1] == sum(len(g) for g in grids[0])
+    assert len(grids[0]) == len(pieces[0])
+    memos.clear()
+    solver_mod._solve_family(p, [p], (Scheme.SUR, Scheme.SURD), config)
+    assert memos == [Scheme.SUR]
 
 
 # ---------------------------------------------------------------------------

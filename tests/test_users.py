@@ -18,6 +18,7 @@ from datarewards import (
     TruncatedNormalTypes,
     UniformTypes,
     UserDecision,
+    ad_stats,
     best_response_sar,
     best_response_sur,
     classify_sar,
@@ -252,6 +253,28 @@ def test_invalid_reward_is_named(w, scheme):
     both = evaluate_point(p, np.array([0.0, MIN_REWARD, 0.01]), scheme)
     assert both.demand[:2] == pytest.approx([d0, d0], rel=1e-9)
     assert both.demand[2] == evaluate_point(p, 0.01, scheme).demand
+
+
+@pytest.mark.parametrize("shape", [(), (1, 2), (2, 1)])
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+def test_reward_array_must_be_one_dimensional(shape, scheme):
+    # a (1, 2) array gave thresholds whose case and cutoff were (1, 2)
+    # but theta2 and theta4 (1,), and evaluate_point and demand failed
+    # on it with ValueError or IndexError; a 0-d array raised TypeError
+    p = PRESETS["fig5a"].params(1.6e7)
+    w = np.full(shape, 0.01)
+    named = re.escape(f"reward array must be 1-D, got shape {shape}")
+    calls = [
+        lambda w: thresholds(p, w, scheme_aware=scheme is Scheme.SAR),
+        lambda w: evaluate_point(p, w, scheme),
+        lambda w: demand(p, w, scheme),
+        lambda w: ad_stats(p, w, scheme),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=named):
+            call(w)
+    # a float and a 1-D array still evaluate
+    assert evaluate_point(p, np.array([0.01]), scheme).demand[0] == demand(p, 0.01, scheme)
 
 
 @pytest.mark.parametrize("br", [best_response_sar, best_response_sur])
