@@ -5,6 +5,14 @@ An advertiser buying m slots reaches a random watcher sample; showing
 the same ad repeatedly to one user loses effectiveness quadratically,
 which makes the advertiser payoff quadratic in m with a closed-form
 maximizer driven by the first two moments of the per-watcher ad count.
+
+Those moments come from each watch segment's mass and its int x g and
+int x^2 g (`watch_moments`). The ads are affine in the utility's basis
+function of the type, so they are taken in closed form under uniform
+types and, for log utility, under truncated-normal types
+(`model.UniformTypes.basis_moments`,
+`model.TruncatedNormalTypes.basis_moments`), and by quadrature in the
+other families.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import MarketParams, Scheme, integrate, integrate_segments, mass
-# the ads a watcher takes, the stage-II integrands: their quadrature
-# nodes are positive types
+# the ads a watcher takes, the stage-II integrands of the families
+# without closed forms: their quadrature nodes are positive types
 from .users import SurCase, Thresholds, _watch_alone, _watch_subscriber, thresholds
 
 
@@ -60,10 +68,26 @@ class WatchMoments:
         )
 
 
-def _segment_moments(params: MarketParams, w, lo, hi, xfun) -> WatchMoments:
-    """Moments of the watch segment [lo, hi] with ads x = xfun, from one
-    `integrate` pass at one reward or one `integrate_segments` pass at
-    an array of rewards; zero where the segment holds no mass."""
+def _segment_moments(params: MarketParams, w, lo, hi, z, xfun) -> WatchMoments:
+    """Moments of the watch segment [lo, hi] with ads x = xfun, which
+    vanish at z (theta1 for subscribers, theta3 for non-subscribers);
+    zero where the segment holds no mass.
+
+    On the segment x = B(w) (g(theta) - g(z)) (see `model`). Where the
+    type density integrates the utility's basis g in closed form
+    (`basis_moments`: every utility under uniform types, log utility
+    under truncated-normal types), the moments are B and B^2 times its
+    integrals. Every other family takes one `integrate` pass at one
+    reward or one `integrate_segments` pass at an array of rewards."""
+    exact = params.dist.basis_moments(params.utility.basis_power, z, lo, hi)
+    if exact is not None:
+        seg_mass, rise, rise2 = exact
+        if isinstance(w, np.ndarray):
+            w = np.where(seg_mass > 0.0, w, 1.0)  # B at w = 0 is not needed
+        elif seg_mass <= 0.0:
+            return WatchMoments(0.0, 0.0, 0.0)
+        scale = params.utility.watch_scale(params.phi, w)
+        return WatchMoments(seg_mass, scale * rise, scale * scale * rise2)
 
     def x_and_x2(theta, seg=None):
         x = xfun(params, theta, w if seg is None else w[seg])
@@ -87,8 +111,8 @@ def watch_moments(
     segments of the partition. Demand and the pooled and per-class ad
     stats derive from these."""
     return (
-        _segment_moments(params, part.w, *part.sub_watch, _watch_subscriber),
-        _segment_moments(params, part.w, *part.alone_watch, _watch_alone),
+        _segment_moments(params, part.w, *part.sub_watch, part.theta1, _watch_subscriber),
+        _segment_moments(params, part.w, *part.alone_watch, part.theta3, _watch_alone),
     )
 
 

@@ -7,6 +7,16 @@ so instances can be shared freely across threads and parallel sweeps.
 u_prime takes a float (stage II asks only for u'(Q)) and a density's
 pdf an array of types; u, inverse_marginal and mass take either.
 
+A watcher of type theta tops data up to the level
+(u')^{-1}(phi / (w theta)), which is affine in one basis function g of
+theta that each utility names by its `basis_power` k: g = theta^k for
+k > 0 and g = ln theta for k = 0. The ads watched on a watch segment
+are then x = B(w) (g(theta) - g(z)), with B the utility's
+`watch_scale` and z the type at which x reaches 0, and a pool's
+moments reduce to integrals of (g - g(z))^j against the type density,
+which each density takes in closed form where it has one
+(`basis_moments`).
+
 Scenario files name each family by its class's `variant`. One table
 of the family classes, read through their dataclass fields, serves
 both reading (`params_from_dict`) and writing (`params_to_dict`).
@@ -104,6 +114,14 @@ class LogUtility:
         _check_marginal(s)
         return 1.0 / s - 1.0
 
+    # the level is w theta / phi - 1
+    basis_power = 1.0
+
+    def watch_scale(self, phi: float, w):
+        """B(w) of the ads x = B(w) (g(theta) - g(z)); w may be a float
+        or an array of positive rewards."""
+        return 1.0 / phi
+
 
 @dataclass(frozen=True)
 class AlphaFairUtility:
@@ -152,6 +170,16 @@ class AlphaFairUtility:
         _check_marginal(s, self.u_prime_zero)
         return s ** (-1.0 / self.alpha) - self.mu
 
+    @property
+    def basis_power(self) -> float:
+        """The level is (w / phi)^(1/alpha) theta^(1/alpha) - mu."""
+        return 1.0 / self.alpha
+
+    def watch_scale(self, phi: float, w):
+        """B(w) of the ads x = B(w) (g(theta) - g(z)); w may be a float
+        or an array of positive rewards."""
+        return (w / phi) ** self.basis_power / w
+
 
 @dataclass(frozen=True)
 class ExpUtility:
@@ -187,6 +215,14 @@ class ExpUtility:
         _check_marginal(s, self.gamma)
         log = np.log if isinstance(s, np.ndarray) else math.log
         return log(self.gamma / s) / self.gamma
+
+    # the level is (ln theta + ln(gamma w / phi)) / gamma
+    basis_power = 0.0
+
+    def watch_scale(self, phi: float, w):
+        """B(w) of the ads x = B(w) (g(theta) - g(z)); w may be a float
+        or an array of positive rewards."""
+        return 1.0 / (self.gamma * w)
 
 
 UtilityModel = LogUtility | AlphaFairUtility | ExpUtility
@@ -233,6 +269,28 @@ class UniformTypes:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.clip(b, 0.0, 1.0) - np.clip(a, 0.0, 1.0)
         return (0.0 if b <= 0.0 else min(b, 1.0)) - (0.0 if a <= 0.0 else min(a, 1.0))
+
+    def basis_moments(self, power: float, z, lo, hi):
+        """Mass of the segment [lo, hi] within the support and the
+        integrals of (g - g(z))^j against the density, j = 1, 2, where
+        g is the basis of `power` (see the module docstring) and
+        z <= lo: floats, or arrays for arrays of segments, 0 for an
+        empty one. In closed form for every basis (`_basis_integrals`)."""
+        top = self.theta_max
+        if isinstance(lo, np.ndarray):
+            hi = np.minimum(hi, top)
+            full = hi > lo
+            # an empty segment, as one at w = 0 with z = inf, is
+            # evaluated on [1, 2] from 1 and then dropped
+            z, lo, hi = (np.where(full, v, dummy)
+                         for v, dummy in ((z, 1.0), (lo, 1.0), (hi, 2.0)))
+            i1, i2 = _basis_integrals(power, z, lo, hi)
+            return tuple(np.where(full, v / top, 0.0) for v in (hi - lo, i1, i2))
+        hi = min(hi, top)
+        if hi <= lo:
+            return 0.0, 0.0, 0.0
+        i1, i2 = _basis_integrals(power, z, lo, hi)
+        return (hi - lo) / top, i1 / top, i2 / top
 
 
 @dataclass(frozen=True)
@@ -329,6 +387,63 @@ class TruncatedNormalTypes:
             (lo - self.mean) / self.sd, (hi - self.mean) / self.sd
         ) / self._mass  # type: ignore[attr-defined]
 
+    def basis_moments(self, power: float, z, lo, hi):
+        """`UniformTypes.basis_moments` for the linear basis g = theta
+        (power 1, log utility); None for any other basis, which has no
+        closed form against a normal.
+
+        The integrals are taken in u = (theta - mean) / sd about the
+        segment's start ua, where they are all positive, and shifted
+        to z: a segment narrow against its scale, width max(1, |ua|)
+        <= 1, by a short Gauss-Legendre rule (`_normal_narrow`), any
+        other by the normal's tails and density at its ends
+        (`_normal_closed`).
+        Where those cancel beyond `_NORMAL_CANCEL`, as on a far-tail
+        segment, the integrals of (theta - z)^j are taken by quadrature
+        (`integrate`, `integrate_segments`) instead; the mass stays the
+        closed form's.
+        """
+        if power != 1.0:
+            return None
+        mean, sd = self.mean, self.sd
+        if isinstance(lo, np.ndarray):
+            a = np.maximum(np.maximum(lo, self.lo), mean - 40.0 * sd)
+            b = np.minimum(np.minimum(hi, self.hi), mean + 40.0 * sd)
+            full = b > a
+            # an empty segment is evaluated on [mean, mean + sd] and dropped
+            z, a, b = (np.where(full, v, dummy)
+                       for v, dummy in ((z, mean), (a, mean), (b, mean + sd)))
+        else:
+            a = max(lo, self.lo, mean - 40.0 * sd)
+            b = min(hi, self.hi, mean + 40.0 * sd)
+            if b <= a:
+                return 0.0, 0.0, 0.0
+        ua, ub, width = (a - mean) / sd, (b - mean) / sd, (b - a) / sd
+        k0, k1, k2 = _by_regime(
+            (width <= 1.0) & (width * abs(ua) <= 1.0),
+            _normal_narrow, _normal_closed, ua, ub, width,
+        )
+        # theta - z = sd (u - ua) + p on the segment
+        p, norm = a - z, self._mass  # type: ignore[attr-defined]
+        moments = (k0 / norm, (sd * k1 + p * k0) / norm,
+                   (sd * (sd * k2 + 2.0 * p * k1) + p * p * k0) / norm)
+        if not isinstance(lo, np.ndarray):
+            if math.isnan(moments[1]):
+                rise = integrate(self, lambda t: np.array((t - z, (t - z) ** 2)), a, b)
+                return (moments[0], *rise.tolist())
+            return moments
+        moments = tuple(np.where(full, v, 0.0) for v in moments)
+        bad = np.flatnonzero(np.isnan(moments[1]))
+        if len(bad):
+            z_bad = z[bad]
+
+            def rise(t, seg):
+                return np.array((t - z_bad[seg], (t - z_bad[seg]) ** 2))
+
+            moments[1][bad], moments[2][bad] = integrate_segments(
+                self, rise, a[bad], b[bad], 2)
+        return moments
+
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -369,10 +484,226 @@ def _normal_mass(z_a, z_b):
 TypeDistribution = UniformTypes | TruncatedNormalTypes
 
 
+# ---------------------------------------------------------------------------
+# Closed-form watch moments
+# ---------------------------------------------------------------------------
+
+
+def _by_regime(cond, first, second, *args) -> tuple:
+    """first(*args) where cond holds and second(*args) elsewhere. For
+    an array cond each function sees only its own entries of the array
+    arguments, so neither meets the other's inputs."""
+    if not isinstance(cond, np.ndarray):
+        return first(*args) if cond else second(*args)
+    out = None
+    for mask, fn in ((cond, first), (~cond, second)):
+        if mask.any():
+            part = fn(*(v[mask] if isinstance(v, np.ndarray) else v for v in args))
+            if out is None:
+                out = tuple(np.empty(len(cond)) for _ in part)
+            for o, v in zip(out, part):
+                o[mask] = v
+    return second(*args) if out is None else out  # no entries
+
+
+# 1/n! for n = 18 down to 3, Horner's coefficients of the series of
+# (e^x - 1 - x - x^2/2) / x^3
+_TAIL_COEFFS = [1.0 / math.factorial(n) for n in range(18, 2, -1)]
+
+
+def _exp_tails(*xs) -> tuple:
+    """e^x - 1 - x - x^2/2 at each x >= 0 of xs, floats or arrays of one
+    length (taken in one pass). Below 1, where the difference cancels,
+    it is x^3 times the series from 1/3!, whose terms are all positive;
+    what the series leaves out is below 2^-55 of it."""
+    if isinstance(xs[0], np.ndarray):
+        x = np.stack(xs)
+        t = np.minimum(x, 1.0)
+        series = t * t * t * _horner(_TAIL_COEFFS, t)
+        return tuple(np.where(x < 1.0, series, np.expm1(x) - x - 0.5 * x * x))
+    return tuple(x * x * x * _horner(_TAIL_COEFFS, x) if x < 1.0
+                 else math.expm1(x) - x - 0.5 * x * x for x in xs)
+
+
+def _horner(coeffs, x):
+    value = 0.0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _power_rise(k: float, z, a):
+    """a^k - z^k for a >= z >= 0, as z^k (e^(k ln(a / z)) - 1) where
+    z > 0, so that it does not cancel for a near z."""
+    if isinstance(a, np.ndarray):
+        pos = z > 0.0
+        z1 = np.where(pos, z, 1.0)
+        rise = z1**k * np.expm1(k * np.log1p((a - z1) / z1))
+        return np.where(pos, rise, a**k)
+    if z == 0.0:
+        return a**k
+    return z**k * math.expm1(k * math.log1p((a - z) / z))
+
+
+def _basis_integrals(k: float, z, a, b) -> tuple:
+    """The integrals of (g - g(z))^j over [a, b], j = 1, 2, for the
+    basis g of power k and z <= a < b; floats or arrays.
+
+    The linear basis (k = 1) takes its factored antiderivatives, sums
+    of positive terms. Otherwise a segment with b >= 4a takes
+    antiderivatives about z (`_about_zero`), which cancel by at most
+    a factor of about 20; a narrower one takes its integrals about its
+    start (`_near_start`), where antiderivative differences would
+    cancel without bound as b/a -> 1."""
+    if k == 1.0:
+        p, q, d = a - z, b - z, b - a
+        return 0.5 * d * (p + q), d * (p * p + p * q + q * q) / 3.0
+    return _by_regime(b < 4.0 * a, _near_start, _about_zero, k, z, a, b)
+
+
+def _about_zero(k: float, z, a, b) -> tuple:
+    """`_basis_integrals` from antiderivatives about z: theta (L - 1)
+    and theta (L^2 - 2L + 2), L = ln(theta / z), for g = ln theta
+    (k = 0); theta^(k+1) / (k+1) and theta^(2k+1) / (2k+1) less
+    multiples of z^k otherwise."""
+    if k == 0.0:
+        xp = np if isinstance(a, np.ndarray) else math
+        la, lb = xp.log1p((a - z) / z), xp.log(b / z)
+        return (b * (lb - 1.0) - a * (la - 1.0),
+                b * (lb * (lb - 2.0) + 2.0) - a * (la * (la - 2.0) + 2.0))
+    zk, d = z**k, b - a
+    p1 = (b ** (k + 1.0) - a ** (k + 1.0)) / (k + 1.0)
+    p2 = (b ** (2.0 * k + 1.0) - a ** (2.0 * k + 1.0)) / (2.0 * k + 1.0)
+    return p1 - zk * d, p2 - zk * (2.0 * p1 - zk * d)
+
+
+def _near_start(k: float, z, a, b) -> tuple:
+    """`_basis_integrals` on a segment with b < 4a, in theta = a e^t
+    for t in [0, l], l = ln(b / a) < ln 4. There g - g(z) is
+    c0 + t for g = ln theta, c0 = ln(a / z), and
+    c0 + a^k (e^(kt) - 1) otherwise, c0 = a^k - z^k (`_power_rise`).
+    Expanded in powers of c0, the integrals are sums of positive
+    terms, each a multiple of e^x - 1 - x - x^2/2 (`_exp_tails`) at
+    x = l, (k+1) l and (2k+1) l or a difference of such multiples that
+    cancels by a factor of 9 at most."""
+    xp = np if isinstance(a, np.ndarray) else math
+    r = (b - a) / a
+    l = xp.log1p(r)
+    if k == 0.0:
+        (t1,) = _exp_tails(l)
+        c0 = xp.log1p((a - z) / z)
+        t2 = t1 + 0.5 * l * l  # e^l - 1 - l
+        m1 = l * r - t2  # int t e^t dt over [0, l]
+        m2 = l * (l * r - 2.0 * t2) + 2.0 * t1  # int t^2 e^t dt
+        return a * (c0 * r + m1), a * (c0 * (c0 * r + 2.0 * m1) + m2)
+    c0, c1 = _power_rise(k, z, a), a**k
+    k1, k2 = k + 1.0, 2.0 * k + 1.0
+    t1, tk1, tk2 = _exp_tails(l, k1 * l, k2 * l)
+    # int (e^(kt) - 1) e^t dt and int (e^(kt) - 1)^2 e^t dt over [0, l]
+    m1 = 0.5 * k * l * l + (tk1 / k1 - t1)
+    m2 = tk2 / k2 - 2.0 * tk1 / k1 + t1
+    return a * (c0 * r + c1 * m1), a * (c0 * (c0 * r + 2.0 * c1 * m1) + c1 * c1 * m2)
+
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# the largest estimated relative error, in units of 2^-52, of the
+# closed normal moments; a segment whose estimate exceeds it is
+# integrated by quadrature instead. Against 50-digit mpmath the actual
+# error stays below a fifth of the estimate: 2e-14 at this limit.
+_NORMAL_CANCEL = 512.0
+
+
+# Gauss-Legendre rules on [-1, 1] by the positive halves of their nodes
+# and weights, as numpy.polynomial.legendre.leggauss gives them (its
+# rules are symmetric). They are written out so that importing the
+# package does not import numpy.polynomial and solve for them, about
+# 4 ms of every CLI start; a test checks them against leggauss.
+_GL8_HALF = (
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
+)
+_GL32_HALF = (
+    [0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+     0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+     0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+     0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+     0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+     0.9972638618494816],
+    [0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+     0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+     0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+     0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+     0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+     0.007018610009470506],
+)
+
+
+def _unit_rule(half) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the symmetric rule on [-1, 1]
+    whose positive nodes and their weights are `half`."""
+    nodes, weights = np.array(half[0]), np.array(half[1])
+    nodes = np.concatenate((-nodes[::-1], nodes))
+    weights = np.concatenate((weights[::-1], weights))
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+# 8-node rule on [0, 1] for `_normal_narrow`
+_GL8_S, _GL8_V = _unit_rule(_GL8_HALF)
+_GL8 = list(zip(_GL8_S.tolist(), _GL8_V.tolist()))
+
+
+def _normal_narrow(ua, ub, width) -> tuple:
+    """The integrals of (u - ua)^j phi(u) over [ua, ub], j = 0, 1, 2,
+    for width = ub - ua with width max(1, |ua|) <= 1, by the 8-node
+    Gauss-Legendre rule in v = u - ua. The integrands, v^j
+    exp(-(ua + v)^2 / 2), are entire, and on so narrow a segment the
+    rule, exact to degree 15, is within rounding of them (the mpmath
+    tests check it); its nodes and weights are positive, so nothing
+    cancels where the closed form of `_normal_closed` would."""
+    if isinstance(ua, np.ndarray):
+        v = width[:, None] * _GL8_S
+        t = ua[:, None] + v
+        f = np.exp(-0.5 * t * t) * _GL8_V
+        k0, k1, k2 = f.sum(axis=1), (f * v).sum(axis=1), (f * v * v).sum(axis=1)
+    else:
+        k0 = k1 = k2 = 0.0
+        for s, weight in _GL8:
+            v = width * s
+            f = weight * math.exp(-0.5 * (ua + v) ** 2)
+            k0, k1, k2 = k0 + f, k1 + f * v, k2 + f * v * v
+    scale = width * _INV_SQRT_2PI
+    return scale * k0, scale * k1, scale * k2
+
+
+def _normal_closed(ua, ub, width) -> tuple:
+    """The integrals of `_normal_narrow` from the tails and the density
+    at the ends: the mass P (`_normal_mass`), phi(ua) - phi(ub) - ua P
+    and P (1 + ua^2) - ua phi(ua) + (ua - width) phi(ub). The last two
+    are NaN where they cancel by more than `_NORMAL_CANCEL` allows:
+    each term carries up to about (4 + 2 u^2) 2^-52 relative error
+    (see `_normal_mass`), u being max(ua, -ub, 0), the end nearer the
+    mean, whose tail and density dominate the segment's."""
+    array = isinstance(ua, np.ndarray)
+    exp = np.exp if array else math.exp
+    mass = _normal_mass(ua, ub)
+    pa = exp(-0.5 * ua * ua) * _INV_SQRT_2PI
+    pb = exp(-0.5 * ub * ub) * _INV_SQRT_2PI
+    k1 = pa - pb - ua * mass
+    k2 = mass * (1.0 + ua * ua) - ua * pa + (ua - width) * pb
+    size1 = pa + pb + abs(ua) * mass
+    size2 = mass * (1.0 + ua * ua) + abs(ua) * pa + abs(ua - width) * pb
+    # the end nearer the mean carries the larger errors: u = max(ua, -ub, 0)
+    near = np.maximum(np.maximum(ua, -ub), 0.0) if array else max(ua, -ub, 0.0)
+    limit = _NORMAL_CANCEL / (4.0 + 2.0 * near * near)
+    ok = (size1 <= limit * k1) & (size2 <= limit * k2)
+    if array:
+        return mass, np.where(ok, k1, math.nan), np.where(ok, k2, math.nan)
+    return (mass, k1, k2) if ok else (mass, math.nan, math.nan)
+
+
 # 32-node Gauss-Legendre rule on [0, 1], plain and under theta = s^2
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_S = 0.5 * (_GL_NODES + 1.0)
-_GL_V = 0.5 * _GL_WEIGHTS
+_GL_S, _GL_V = _unit_rule(_GL32_HALF)
 _GL_S2 = _GL_S * _GL_S
 _GL_V2 = 2.0 * _GL_S * _GL_V
 
@@ -402,6 +733,12 @@ def integrate(
 ) -> float | np.ndarray:
     """Weighted integral of f(theta) g(theta) over [lo, hi] by a fixed
     32-node Gauss-Legendre rule on each of a few panels.
+
+    Stage II integrates by it only what has no closed form: the watch
+    moments of alpha-fair and exponential utility under truncated-normal
+    types, and the (theta - z)^j of a normal segment whose closed form
+    would cancel (`TruncatedNormalTypes.basis_moments`). Every other
+    family's moments come from `basis_moments`.
 
     f receives the array of nodes of all panels and returns its values
     there; a scalar return broadcasts. If f returns k stacked rows of

@@ -213,15 +213,17 @@ class PointEval:
 
 
 def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
-    """Stage II at reward w: one root solve for the partition, one
-    quadrature pass per watch segment.
+    """Stage II at reward w: one root solve for the partition, and the
+    moments of each watch segment, in closed form or from one
+    quadrature pass (`admarket.watch_moments`).
 
     An array w is evaluated in one array pass: the rewards are
     classified at once, the case-C thresholds found together by
     `newton_roots` (each reward takes the steps of its scalar root
-    solve), the watch segments' moments taken from one batched node
-    pass per kind of watcher (`integrate_segments`), and the ad side
-    priced elementwise. One reward is cheaper on the scalar path.
+    solve), the watch segments' moments taken elementwise or from one
+    batched node pass per kind of watcher (`integrate_segments`), and
+    the ad side priced elementwise. One reward is cheaper on the
+    scalar path.
     """
     part = thresholds(params, w, scheme is Scheme.SAR)
     moments = watch_moments(params, part)

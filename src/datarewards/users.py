@@ -23,6 +23,7 @@ violation raises InternalConsistencyError with diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -97,13 +98,21 @@ MIN_REWARD = 1e-300
 def _check_reward(w) -> None:
     """Raise DomainError unless the reward w is 0 or lies in
     [MIN_REWARD, inf), naming the first bad entry of an array: a
-    negative, NaN or infinite reward has no partition. An array must be
-    1-D: stage II's array path handles one axis of rewards."""
+    negative, NaN or infinite reward has no partition. A reward is a
+    real number or a 1-D array of them (stage II's array path handles
+    one axis of rewards); anything else is named by its type, dtype or
+    shape."""
     if isinstance(w, np.ndarray):
         if w.ndim != 1:
             raise DomainError(f"a reward array must be 1-D, got shape {w.shape}")
+        if w.dtype.kind not in "fiu":
+            raise DomainError(f"a reward array must hold real numbers, got dtype {w.dtype}")
         bad = ~((w == 0.0) | ((w >= MIN_REWARD) & (w < math.inf)))
     else:
+        if type(w) is not float and not isinstance(w, numbers.Real):
+            raise DomainError(
+                f"a reward must be a real number or a 1-D array, got {type(w).__name__}"
+            )
         bad = not (w == 0.0 or MIN_REWARD <= w < math.inf)
     if _any(bad):
         (w_,) = _first(bad, w)
@@ -447,6 +456,10 @@ def _best_response(
 ) -> UserDecision:
     if not 0.0 <= theta < math.inf:
         raise DomainError(f"user type must be finite and >= 0, got {theta!r}")
+    if isinstance(w, np.ndarray):
+        raise DomainError(
+            f"a best response takes one reward, got an array of shape {w.shape}"
+        )
     part = thresholds(params, w, scheme_aware)
     if theta >= part.cutoff:
         lo, hi = part.sub_watch

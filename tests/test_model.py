@@ -161,6 +161,18 @@ def test_mass_matches_quadrature(dist):
     )
 
 
+def test_quadrature_rules_are_numpys_gauss_legendre():
+    # the rules are written out so that the package need not import
+    # numpy.polynomial; they are leggauss's, bit for bit
+    import datarewards.model as model_mod
+
+    for n, (s, v) in ((32, (model_mod._GL_S, model_mod._GL_V)),
+                      (8, (model_mod._GL8_S, model_mod._GL8_V))):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(s, 0.5 * (nodes + 1.0))
+        assert np.array_equal(v, 0.5 * weights)
+
+
 def test_uniform_interval_measure():
     dist = UniformTypes(155.0)
     val = integrate(dist, lambda t: 1.0, 51.04, 155.0)

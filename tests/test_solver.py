@@ -202,9 +202,11 @@ def _count_calls(monkeypatch, module, name, counter):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_point_needs_one_root_solve_and_one_pass_per_segment(
-    monkeypatch, fig5a_params, scheme
+    monkeypatch, fig7c_params, scheme
 ):
-    p = fig5a_params
+    # exponential utility under truncated-normal types: a family whose
+    # watch moments are integrated by quadrature
+    p = fig7c_params
     if scheme is Scheme.SAR:
         w, root = 1.3 * case_bound_b_sar(p), "solve_theta2"
     else:
@@ -223,6 +225,37 @@ def test_point_needs_one_root_solve_and_one_pass_per_segment(
         monkeypatch.undo()
         assert pe.ad_surd == evaluate_point(p, w, Scheme.SURD).ad
         assert pe.r_total_surd >= pe.r_total
+
+
+_CLOSED_FORM_FAMILIES = {
+    "log-uniform": PRESETS["fig5a"].params(1.6e7),
+    "alpha-uniform": PRESETS["fig5b"].params(1.6e7),
+    "alpha-mu0-uniform": replace(PRESETS["fig5b"].params(1.6e7),
+                                 utility=AlphaFairUtility(alpha=0.8, mu=0.0)),
+    "exp-uniform": PRESETS["fig5c"].params(1.6e7),
+    "log-tnormal": PRESETS["fig7a"].params(2e7),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORM_FAMILIES))
+def test_closed_form_family_integrates_nothing(monkeypatch, name):
+    # the watch moments of these families come from `basis_moments`:
+    # no quadrature pass at one reward or at an array of rewards
+    import datarewards.model as model_mod
+
+    p = _CLOSED_FORM_FAMILIES[name]
+    ws = np.linspace(0.0, 1.5 * case_bound_d(p), 61)
+    calls: dict[str, int] = {}
+    for module in (admarket_mod, model_mod):
+        for fn in ("integrate", "integrate_segments"):
+            _count_calls(monkeypatch, module, fn, calls)
+    for scheme in Scheme:
+        grid = evaluate_point(p, ws, scheme)
+        points = [evaluate_point(p, float(w), scheme) for w in ws[::6]]
+        assert grid.entry(30).demand > p.baseline_demand()
+        for k, pe in zip(range(0, len(ws), 6), points):
+            assert _close(grid.entry(k).demand, pe.demand), (scheme, k)
+    assert calls == {}
 
 
 @pytest.mark.parametrize(
@@ -386,11 +419,12 @@ def test_array_evaluation_is_batch_invariant(u, dist, scheme, fee, parts):
 
 def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
     # sd 1/200 of the support: up to 65 density panels per segment, far
-    # more panels than one node chunk holds
+    # more panels than one node chunk holds; alpha-fair utility, whose
+    # moments under normal types are integrated by quadrature
     import datarewards.model as model_mod
 
     dist = TruncatedNormalTypes(mean=75.0, sd=0.75, lo=0.0, hi=150.0)
-    p = _grid_params(LogUtility(), dist, 10.0)
+    p = _grid_params(AlphaFairUtility(alpha=0.8, mu=0.8), dist, 10.0)
     ws = np.linspace(0.0, 1.5 * case_bound_d(p), 150)
     chunks: list[int] = []
     pdf = dist.pdf

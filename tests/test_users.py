@@ -295,6 +295,44 @@ def test_best_response_rejects_invalid_type_and_reward(br):
     assert 0.0 < br(p, 2.0 * p.dist.theta_max, 0.01).x < math.inf
 
 
+@pytest.mark.parametrize("br", [best_response_sar, best_response_sur])
+@pytest.mark.parametrize("w", [np.array([0.01, 0.02]), np.array([0.01]), np.array(0.01)])
+def test_best_response_rejects_a_reward_array(br, w):
+    # a 2-entry array raised numpy's bare ValueError, and SUR answered a
+    # 1-entry one with UserDecision(r=0, x=array([66.67]))
+    p = PRESETS["fig5a"].params(1.6e7)
+    named = re.escape(f"a best response takes one reward, got an array of shape {w.shape}")
+    with pytest.raises(DomainError, match=named):
+        br(p, 50.0, w)
+    assert br(p, 50.0, 0.01) == br(p, 50.0, np.float64(0.01))
+
+
+@pytest.mark.parametrize("w,named", [
+    ([0.01], "got list"),
+    ((0.01, 0.02), "got tuple"),
+    ("0.01", "got str"),
+    (0.01 + 0j, "got complex"),
+    (np.array(["0.01"]), "got dtype <U4"),
+    (np.array([True, False]), "got dtype bool"),
+])
+def test_reward_that_is_not_real_is_named(w, named):
+    # a list reached the scalar comparisons as a bare TypeError
+    p = PRESETS["fig5a"].params(1.6e7)
+    calls = [
+        lambda w: thresholds(p, w, scheme_aware=True),
+        lambda w: evaluate_point(p, w, Scheme.SUR),
+        lambda w: demand(p, w, Scheme.SAR),
+    ]
+    if not isinstance(w, np.ndarray):  # a best response names an array's shape
+        calls.append(lambda w: best_response_sur(p, 50.0, w))
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(named)):
+            call(w)
+    # real numbers of other types still evaluate as the float does
+    for real in (1, np.int64(0), np.float32(0.015)):
+        assert demand(p, real, Scheme.SUR) == demand(p, float(real), Scheme.SUR)
+
+
 # ---------------------------------------------------------------------------
 # threshold roots
 # ---------------------------------------------------------------------------
