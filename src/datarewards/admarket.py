@@ -11,8 +11,8 @@ int x^2 g (`watch_moments`). The ads are affine in the utility's basis
 function of the type, so they are taken in closed form under uniform
 types and, for log utility, under truncated-normal types
 (`model.UniformTypes.basis_moments`,
-`model.TruncatedNormalTypes.basis_moments`), and by quadrature in the
-other families.
+`model.TruncatedNormalTypes.basis_moments`), and in the other
+families by quadrature of the same rises of the basis.
 """
 
 from __future__ import annotations
@@ -24,10 +24,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .model import MarketParams, Scheme, integrate, integrate_segments, mass
-# the ads a watcher takes, the stage-II integrands of the families
-# without closed forms: their quadrature nodes are positive types
-from .users import SurCase, Thresholds, _watch_alone, _watch_subscriber, thresholds
+from .model import (
+    MarketParams,
+    Scheme,
+    TypeDistribution,
+    basis_rise,
+    integrate,
+    integrate_segments,
+    mass,
+)
+from .users import SurCase, Thresholds, thresholds
 
 
 class UserClass(Enum):
@@ -68,40 +74,51 @@ class WatchMoments:
         )
 
 
-def _segment_moments(params: MarketParams, w, lo, hi, z, xfun) -> WatchMoments:
-    """Moments of the watch segment [lo, hi] with ads x = xfun, which
-    vanish at z (theta1 for subscribers, theta3 for non-subscribers);
-    zero where the segment holds no mass.
+def _segment_moments(params: MarketParams, w, lo, hi, z) -> WatchMoments:
+    """Moments of the watch segment [lo, hi], whose ads vanish at z
+    (theta1 for subscribers, theta3 for non-subscribers); zero where the
+    segment holds no mass.
 
-    On the segment x = B(w) (g(theta) - g(z)) (see `model`). Where the
-    type density integrates the utility's basis g in closed form
-    (`basis_moments`: every utility under uniform types, log utility
-    under truncated-normal types), the moments are B and B^2 times its
-    integrals. Every other family takes one `integrate` pass at one
-    reward or one `integrate_segments` pass at an array of rewards."""
-    exact = params.dist.basis_moments(params.utility.basis_power, z, lo, hi)
-    if exact is not None:
-        seg_mass, rise, rise2 = exact
-        if isinstance(w, np.ndarray):
-            w = np.where(seg_mass > 0.0, w, 1.0)  # B at w = 0 is not needed
-        elif seg_mass <= 0.0:
-            return WatchMoments(0.0, 0.0, 0.0)
-        scale = params.utility.watch_scale(params.phi, w)
-        return WatchMoments(seg_mass, scale * rise, scale * scale * rise2)
+    On the segment x = B(w) (g(theta) - g(z)) (see `model`), so the
+    moments are B and B^2 times the integrals of the basis rise
+    (g - g(z))^j against the density. Where the density integrates
+    them in closed form (`basis_moments`: every utility under uniform
+    types, log utility under truncated-normal types), those are taken.
+    Every other family integrates the rise (`basis_rise`, which does not
+    cancel for theta near z) by one `integrate` pass at one reward or
+    one `integrate_segments` pass at an array of rewards."""
+    k = params.utility.basis_power
+    moments = params.dist.basis_moments(k, z, lo, hi)
+    array = isinstance(w, np.ndarray)
+    if moments is None:
+        moments = _rise_quadrature(params.dist, k, z, lo, hi, array)
+    seg_mass, rise, rise2 = moments
+    if array:
+        w = np.where(seg_mass > 0.0, w, 1.0)  # B at w = 0 is not needed
+    elif seg_mass <= 0.0:
+        return WatchMoments(0.0, 0.0, 0.0)
+    scale = params.utility.watch_scale(params.phi, w)
+    return WatchMoments(seg_mass, scale * rise, scale * scale * rise2)
 
-    def x_and_x2(theta, seg=None):
-        x = xfun(params, theta, w if seg is None else w[seg])
-        return np.array((x, x * x))
 
-    seg_mass = mass(params.dist, lo, hi)
-    if isinstance(w, np.ndarray):
+def _rise_quadrature(dist: TypeDistribution, k: float, z, lo, hi, array: bool) -> tuple:
+    """Mass of the segment [lo, hi] and the integrals of the basis rise
+    (g - g(z))^j against the density, j = 1, 2, by quadrature: floats,
+    or arrays for arrays of segments, 0 for an empty one. The rise is
+    taken from each node's distance from z, which the integrators give
+    exactly where the nodes, rounded to ulp(theta), would not."""
+    def rises(start, d):
+        rise = basis_rise(k, start, d)
+        return np.array((rise, rise * rise))
+
+    seg_mass = mass(dist, lo, hi)
+    if array:
         hi = np.where(seg_mass > 0.0, hi, lo)
-        ex, ex2 = integrate_segments(params.dist, x_and_x2, lo, hi, 2)
-        return WatchMoments(seg_mass, ex, ex2)
+        ex = integrate_segments(dist, lambda _, seg, d: rises(z[seg], d), lo, hi, 2, origin=z)
+        return (seg_mass, *ex)
     if seg_mass <= 0.0:
-        return WatchMoments(0.0, 0.0, 0.0)  # empty, or outside the support
-    ex, ex2 = integrate(params.dist, x_and_x2, lo, hi).tolist()
-    return WatchMoments(seg_mass, ex, ex2)
+        return 0.0, 0.0, 0.0  # empty, or outside the support
+    return (seg_mass, *integrate(dist, lambda _, d: rises(z, d), lo, hi, origin=z).tolist())
 
 
 def watch_moments(
@@ -111,8 +128,8 @@ def watch_moments(
     segments of the partition. Demand and the pooled and per-class ad
     stats derive from these."""
     return (
-        _segment_moments(params, part.w, *part.sub_watch, part.theta1, _watch_subscriber),
-        _segment_moments(params, part.w, *part.alone_watch, part.theta3, _watch_alone),
+        _segment_moments(params, part.w, *part.sub_watch, part.theta1),
+        _segment_moments(params, part.w, *part.alone_watch, part.theta3),
     )
 
 

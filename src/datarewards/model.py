@@ -532,14 +532,29 @@ def _horner(coeffs, x):
     return value
 
 
+def basis_rise(k: float, z, d: np.ndarray) -> np.ndarray:
+    """g(z + d) - g(z) for the basis g of power k at an array of d >= 0,
+    z >= 0 a float or one per entry, without cancelling for small d:
+    ln(1 + d / z) by log1p for g = ln theta (k = 0, where z > 0),
+    z^k (e^(k ln(1 + d / z)) - 1) by expm1 for k > 0 and z > 0, and
+    d^k at z = 0."""
+    if k == 0.0:
+        return np.log1p(d / z)
+    pos = z > 0.0
+    if isinstance(pos, np.ndarray):
+        if pos.any() and not pos.all():
+            z1 = np.where(pos, z, 1.0)
+            return np.where(pos, z1**k * np.expm1(k * np.log1p(d / z1)), d**k)
+        # one form for all: a power costs as much as the rest of a node
+        pos = pos.all()
+    return z**k * np.expm1(k * np.log1p(d / z)) if pos else d**k
+
+
 def _power_rise(k: float, z, a):
-    """a^k - z^k for a >= z >= 0, as z^k (e^(k ln(a / z)) - 1) where
-    z > 0, so that it does not cancel for a near z."""
+    """a^k - z^k for a >= z >= 0 and k > 0, as z^k (e^(k ln(a / z)) - 1)
+    where z > 0, so that it does not cancel for a near z."""
     if isinstance(a, np.ndarray):
-        pos = z > 0.0
-        z1 = np.where(pos, z, 1.0)
-        rise = z1**k * np.expm1(k * np.log1p((a - z1) / z1))
-        return np.where(pos, rise, a**k)
+        return basis_rise(k, z, a - z)
     if z == 0.0:
         return a**k
     return z**k * math.expm1(k * math.log1p((a - z) / z))
@@ -716,34 +731,42 @@ _CHUNK_PANELS = 512
 
 
 def _panel_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule on the panel [a, b]. A panel that
-    starts within a tenth of its width of theta = 0 is mapped by
-    theta = a + (b - a) s^2, which clusters the nodes at a."""
+    """Distances of the nodes of the rule on the panel [a, b] from a,
+    and their weights. A panel that starts within a tenth of its width
+    of theta = 0 is mapped by theta = a + (b - a) s^2, which clusters
+    the nodes at a."""
     width = b - a
     if a < 0.1 * width:
-        return a + width * _GL_S2, width * _GL_V2
-    return a + width * _GL_S, width * _GL_V
+        return width * _GL_S2, width * _GL_V2
+    return width * _GL_S, width * _GL_V
 
 
 def integrate(
     dist: TypeDistribution,
-    f: Callable[[np.ndarray], np.ndarray | float],
+    f: Callable[..., np.ndarray | float],
     lo: float,
     hi: float,
+    origin: float | None = None,
 ) -> float | np.ndarray:
     """Weighted integral of f(theta) g(theta) over [lo, hi] by a fixed
     32-node Gauss-Legendre rule on each of a few panels.
 
-    Stage II integrates by it only what has no closed form: the watch
-    moments of alpha-fair and exponential utility under truncated-normal
-    types, and the (theta - z)^j of a normal segment whose closed form
-    would cancel (`TruncatedNormalTypes.basis_moments`). Every other
-    family's moments come from `basis_moments`.
+    Stage II integrates by it only what has no closed form: the basis
+    rises (g - g(z))^j (`basis_rise`) of alpha-fair and exponential
+    utility under truncated-normal types, and the (theta - z)^j of a
+    normal segment whose closed form would cancel
+    (`TruncatedNormalTypes.basis_moments`). Every other family's
+    moments come from `basis_moments`.
 
     f receives the array of nodes of all panels and returns its values
     there; a scalar return broadcasts. If f returns k stacked rows of
     values, the k integrals come back as an array from the same node
     pass. An interval outside the density's support integrates to 0.0.
+    Given an `origin`, f(theta, d) also receives d = theta - origin at
+    each node, taken from its panel's start: on a segment narrow against
+    theta the nodes themselves are rounded to ulp(theta), which moves a
+    difference theta - origin near the segment's start by far more than
+    its own ulp.
 
     Callers pass analytic segment endpoints, so the integrand is smooth
     on [lo, hi] apart from theta = 0: kinks of the best-response maps
@@ -778,14 +801,17 @@ def integrate(
         while 0.0 < a * _GRADING ** (levels + 1) < b and levels < 10:
             levels += 1
         edges[1:1] = [b / _GRADING**j for j in range(levels, 0, -1)]
-    if len(edges) == 2:
-        theta, weights = _panel_nodes(a, b)
+    starts = edges[:-1]
+    panels = [_panel_nodes(*panel) for panel in zip(starts, edges[1:])]
+    theta = np.concatenate([left + step for left, (step, _) in zip(starts, panels)])
+    weights = np.concatenate([v for _, v in panels])
+    if origin is None:
+        values = f(theta)
     else:
-        panels = [_panel_nodes(*panel) for panel in zip(edges, edges[1:])]
-        theta = np.concatenate([t for t, _ in panels])
-        weights = np.concatenate([v for _, v in panels])
+        values = f(theta, np.concatenate(
+            [(left - origin) + step for left, (step, _) in zip(starts, panels)]))
     # the weights are positive: any non-finite value makes the sum non-finite
-    value = np.multiply(f(theta), dist.pdf(theta)) @ weights
+    value = np.multiply(values, dist.pdf(theta)) @ weights
     if not np.isfinite(value).all():
         raise NumericalError(f"non-finite integrand on [{lo}, {hi}]")
     return float(value) if value.ndim == 0 else value
@@ -797,13 +823,16 @@ def integrate_segments(
     lo: np.ndarray,
     hi: np.ndarray,
     rows: int,
+    origin: np.ndarray | None = None,
 ) -> np.ndarray:
     """`integrate` on many segments [lo[i], hi[i]] at once.
 
     The panels are those `integrate` lays out (the density's, graded
     toward 0, s^2-mapped near it), built for all segments with array
     arithmetic. f(theta, seg) receives nodes and the index of each
-    node's segment and returns `rows` stacked rows of values there.
+    node's segment and returns `rows` stacked rows of values there;
+    given an `origin` per segment, f(theta, seg, d) also receives
+    d = theta - origin[seg] from each panel's start, as `integrate` does.
     Returns the (rows, len(lo)) integrals; an empty segment gives 0.0.
     Nodes are made and evaluated at most _CHUNK_PANELS panels at a
     time, so memory stays bounded however many panels a narrow density
@@ -848,10 +877,16 @@ def integrate_segments(
         part = slice(start, start + _CHUNK_PANELS)
         lft, width = left[part, None], (right - left)[part, None]
         mapped = lft < 0.1 * width
-        theta = (lft + width * np.where(mapped, _GL_S2, _GL_S)).ravel()
+        step = width * np.where(mapped, _GL_S2, _GL_S)
+        theta = (lft + step).ravel()
         weights = (width * np.where(mapped, _GL_V2, _GL_V)).ravel()
         nodes_seg = np.repeat(seg[part], len(_GL_S))
-        values = np.multiply(f(theta, nodes_seg), dist.pdf(theta)) * weights
+        if origin is None:
+            values = f(theta, nodes_seg)
+        else:
+            d = (lft - origin[seg[part], None]) + step
+            values = f(theta, nodes_seg, d.ravel())
+        values = np.multiply(values, dist.pdf(theta)) * weights
         panel[:, part] = values.reshape(rows, -1, len(_GL_S)).sum(axis=2)
     # each segment sums its panels in order in one pass, wherever the
     # chunks cut: a segment's integral does not depend on the others

@@ -9,11 +9,13 @@ that hold for every utility family, and on nothing else:
 - that payoff has increasing differences in (theta, x), so the best
   grid index never decreases with theta (Topkis).
 The discretized best responses (`_br_grid`) use the second to place a
-small search window for each type and the first to know when the
+three-entry search window for each type, from one search of all the
+rows' breakpoints into the type grid, and the first to know when the
 window holds the type's best: once its edges fall short of its best by
 more than rounding can move a payoff, a concave row cannot climb back
-beyond them. Their answer is that of the exhaustive scan of the full
-payoff table, bit for bit. `oracle_user_br`, the single-user reference
+beyond them, and a row still open is searched again in wider windows.
+Their answer is that of the exhaustive scan of the full payoff table,
+bit for bit. `oracle_user_br`, the single-user reference
 the analytic best responses are checked against, scans exhaustively.
 """
 
@@ -33,9 +35,11 @@ from .solver import OperatorOutcome
 from .users import UserDecision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedMarket:
-    """Finite stand-in for the continuum market."""
+    """Finite stand-in for the continuum market. Markets compare and
+    hash by identity: the generated field-wise forms would compare the
+    grid arrays elementwise and cannot hash them."""
 
     theta_grid: np.ndarray  # M valuation samples (midpoints)
     weights: np.ndarray  # g(theta_i) * dtheta, normalized to sum 1
@@ -155,20 +159,26 @@ def oracle_adv_br(
     return float(m_grid[int(np.argmax(payoffs))])
 
 
-# half-width of the first index window each payoff row is searched in;
-# rows not settled there are searched again in one four times as wide
-_HALF_WIDTH = 4
+# half-width of the first index window each payoff row is searched in:
+# three entries, as every row of the benchmark's markets settles within
+# one index of its guess; rows not settled there are searched again in
+# one four times as wide (9, then 33 entries, ...)
+_HALF_WIDTH = 1
 # share of a payoff row's scale by which a settled window's edges must
 # fall short of the row's best; rounding moves an entry by far less
 _ROUNDING_MARGIN = 1e-12
-# payoff table entries evaluated at once (64 KiB of doubles, about 900
-# rows of the first window): tables of 128 KiB and more took two to
-# three times as long per entry, each temporary being freshly mapped
+# payoff table entries evaluated at once (64 KiB of doubles, about
+# 2 730 rows of the first window). With nine-entry first windows,
+# tables of 128 KiB and more took two to three times as long per entry,
+# each temporary being freshly mapped; with three-entry ones, blocks of
+# 32 to 256 KiB all took 15 to 18 ms per solve of the benchmark's grid,
+# within the timing's spread
 _BLOCK_ENTRIES = 1 << 13
 # (reward, type) rows `oracle_stage1` evaluates in one pass (20 rewards
-# of 200 types): a pass's arrays then stay within a core's L2 cache.
-# Passes of 16384 rows took up to a tenth longer per solve, and a whole
-# scan of the default grid in one pass peaked at 200 MB
+# of 200 types, two blocks of the first window): a pass's arrays then
+# stay within a core's L2 cache. Passes of 8192 and 16384 rows took as
+# long per solve of the benchmark's grid, within the timing's spread,
+# and a whole scan of the default grid in one pass peaked at 200 MB
 _SCAN_ROWS = 1 << 12
 # zoomed re-scans of the best reward cell after `oracle_stage1`'s full scan
 _REFINE_ROUNDS = 3
@@ -223,6 +233,18 @@ def _windowed_argmax(
     return idx, val
 
 
+def _window_guesses(breaks: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(row, thetas)` of every sorted row of `breaks`,
+    flattened row after row, from one search of all of them into the
+    sorted `thetas`: the count of a row's breakpoints below thetas[j] is
+    the count of those that `side="right"` places at or before j."""
+    k, m = len(breaks), len(thetas)
+    at = np.searchsorted(thetas, breaks, side="right")
+    at += np.arange(0, k * (m + 1), m + 1)[:, None]
+    counts = np.bincount(at.ravel(), minlength=k * (m + 1)).reshape(k, m + 1)
+    return counts.cumsum(axis=1)[:, :m].ravel()
+
+
 def _br_grid(
     params: MarketParams,
     market: DiscretizedMarket,
@@ -240,21 +262,22 @@ def _br_grid(
     laid out together and searched by one `_windowed_argmax` call per r.
 
     The result is that of the exhaustive m x n_x payoff table, bit for
-    bit, at O(n_x + m log n_x) cost per reward. For fixed r, type
+    bit, at O(n_x log m + m) cost per reward. For fixed r, type
     theta's row is theta b_k - F r - phi x_k with b_k = u(Q r + w x_k).
     The grid is uniform and u concave, so the row is concave in k and
     its leftmost argmax is the number of breakpoints
     t_k = phi (x_{k+1} - x_k) / (b_{k+1} - b_k) below theta. Increasing
     differences make that count nondecreasing in theta, so one sorted
     array (the running maximum of t, which rounding can leave unsorted)
-    places every row. Each row evaluates the table's own payoff
-    expression on a window of indices around its count. The count only
-    places the window: `_windowed_argmax` widens it until its edges fall
-    short of the row's best by 1e-12 of the row's scale
-    theta (max|b| + c) + F r + phi x_max, c being the constant the
-    alpha-fair utility subtracts. Rounding moves an entry off the
-    concave row by a few ulps of that scale, far inside half that
-    margin.
+    places every row, and one search of all rewards' arrays into the
+    type grid counts them (`_window_guesses`). Each row evaluates the
+    table's own payoff expression on the three indices around its count
+    first. The count only places the window: `_windowed_argmax` widens
+    it until its edges fall short of the row's best by 1e-12 of the
+    row's scale theta (max|b| + c) + F r + phi x_max, c being the
+    constant the alpha-fair utility subtracts. Rounding moves an entry
+    off the concave row by a few ulps of that scale, far inside half
+    that margin.
     """
     ws = np.atleast_1d(np.asarray(w, dtype=float))
     k = len(ws)
@@ -288,8 +311,7 @@ def _br_grid(
         base = params.utility.u(params.Q * r + ws[:, None] * xs)  # (k, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             breaks = params.phi * np.diff(xs, axis=1) / np.diff(base, axis=1)
-        sorted_breaks = np.fmax.accumulate(breaks, axis=1)
-        guess = np.concatenate([np.searchsorted(b, thetas) for b in sorted_breaks])
+        guess = _window_guesses(np.fmax.accumulate(breaks, axis=1), thetas)
         scale = (
             thetas * (np.abs(base).max(axis=1)[:, None] + offset)
             + params.F * r + params.phi * xs[:, -1:]

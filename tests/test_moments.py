@@ -1,6 +1,8 @@
 """Closed-form watch moments: `basis_moments` of each type density and
 the watch moments `admarket._segment_moments` builds from them, against
-50-digit mpmath and against the quadrature they replace."""
+50-digit mpmath and against the quadrature they replace; and the
+quadrature moments of the families without closed forms against
+mpmath on segments narrow against their distance from theta = 0."""
 
 import math
 
@@ -21,8 +23,8 @@ from datarewards import (
 )
 from datarewards.admarket import _segment_moments
 from datarewards.model import integrate_segments
+from datarewards.presets import PRESETS
 from datarewards.users import (
-    _watch_subscriber,
     case_bound_a,
     case_bound_b_sar,
     case_bound_b_sur,
@@ -182,7 +184,7 @@ def test_watch_moments_match_mpmath(p):
     mp.dps = 50
     segments = _segments(p)
     for w, z, lo, hi in segments:
-        got = _segment_moments(p, w, lo, hi, z, _watch_subscriber)
+        got = _segment_moments(p, w, lo, hi, z)
         want = _reference(mp, p, w, z, lo, hi)
         allowed = _allowed(p, lo, hi)
         for g, v in zip((got.mass, got.ex, got.ex2), want):
@@ -192,9 +194,9 @@ def test_watch_moments_match_mpmath(p):
                 w, z, lo, hi, g, v)
     # the array path agrees with the scalar one on the same segments
     w, z, lo, hi = (np.array(v) for v in zip(*segments))
-    arr = _segment_moments(p, w, lo, hi, z, _watch_subscriber)
+    arr = _segment_moments(p, w, lo, hi, z)
     for i, (wi, zi, loi, hii) in enumerate(segments):
-        one = _segment_moments(p, wi, loi, hii, zi, _watch_subscriber)
+        one = _segment_moments(p, wi, loi, hii, zi)
         for g, v in ((arr.mass[i], one.mass), (arr.ex[i], one.ex), (arr.ex2[i], one.ex2)):
             assert abs(g - v) <= 1e-13 * abs(v), (wi, zi, loi, hii)
 
@@ -259,10 +261,63 @@ def test_empty_and_zero_reward_segments_give_zero_without_warnings():
         for aware in (True, False):
             part = thresholds(p, w, aware)
             for z, (lo, hi) in ((part.theta1, part.sub_watch), (part.theta3, part.alone_watch)):
-                got = _segment_moments(p, w, lo, hi, z, _watch_subscriber)
+                got = _segment_moments(p, w, lo, hi, z)
                 assert (got.mass[:2] == 0.0).all() and (got.ex[:2] == 0.0).all()
                 assert (got.ex2[:2] == 0.0).all()
         assert p.dist.basis_moments(p.utility.basis_power, 1.0, 2.0, 2.0) == (0.0, 0.0, 0.0)
+
+
+def _quadrature_reference(mp, p: MarketParams, w: float, z: float, lo: float, hi: float):
+    """int x g and int x^2 g on [lo, hi] in mpmath, x = B(w) (g(theta) - g(z)),
+    for a family without closed forms: the rises against the truncated
+    normal's density by mpmath's own quadrature."""
+    u, dist = p.utility, p.dist
+    k, z, w = mp.mpf(u.basis_power), mp.mpf(z), mp.mpf(w)
+    mean, sd = mp.mpf(dist.mean), mp.mpf(dist.sd)
+    norm = (mp.erfc((mp.mpf(dist.lo) - mean) / (sd * mp.sqrt(2)))
+            - mp.erfc((mp.mpf(dist.hi) - mean) / (sd * mp.sqrt(2)))) / 2
+
+    def rise(t):
+        return mp.log(t / z) if k == 0 else t**k - z**k
+
+    def density(t):
+        return mp.exp(-((t - mean) / sd) ** 2 / 2) / (sd * mp.sqrt(2 * mp.pi) * norm)
+
+    scale = 1 / (mp.mpf(u.gamma) * w) if k == 0 else (w / mp.mpf(p.phi)) ** k / w
+    a, b = max(mp.mpf(lo), mp.mpf(dist.lo)), min(mp.mpf(hi), mp.mpf(dist.hi))
+    return tuple(scale**j * mp.quad(lambda t: rise(t) ** j * density(t), [a, b])
+                 for j in (1, 2))
+
+
+@pytest.mark.parametrize("name,capacity", [("fig7c", 2.6e7), ("fig7b", None)])
+def test_quadrature_moments_hold_digits_near_the_segment_start(name, capacity):
+    # exponential and alpha-fair (mu > 0) utility under truncated-normal
+    # types integrate the rise of their basis: just past case_bound_a the
+    # subscribers' segment, and just past case_bound_b_sur the
+    # non-subscribers', is narrow against its distance from theta = 0,
+    # where integrating the watch maps themselves lost up to 4.5e-9
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    p = PRESETS[name].params(capacity)
+    assert p.dist.basis_moments(p.utility.basis_power, 1.0, 2.0, 3.0) is None
+    segments = []
+    for bound in (case_bound_a(p), case_bound_b_sur(p)):
+        for eps in (1e-3, 1e-5, 1e-7):
+            w = bound * (1.0 + eps)
+            part = thresholds(p, w, False)
+            segments += [(kind, w, z, lo, hi) for kind, z, (lo, hi) in (
+                ("subscribers", part.theta1, part.sub_watch),
+                ("non-subscribers", part.theta3, part.alone_watch)) if hi > lo]
+    assert {kind for kind, *_ in segments} == {"subscribers", "non-subscribers"}
+    w, z, lo, hi = (np.array(v) for v in list(zip(*segments))[1:])
+    arr = _segment_moments(p, w, lo, hi, z)
+    for i, (_, wi, zi, loi, hii) in enumerate(segments):
+        one = _segment_moments(p, wi, loi, hii, zi)
+        want = _quadrature_reference(mp, p, wi, zi, loi, hii)
+        for got in ((one.ex, one.ex2), (arr.ex[i], arr.ex2[i])):
+            for g, v in zip(got, want):
+                assert abs(mp.mpf(g) - v) <= 1e-13 * abs(v), (wi, zi, loi, hii, g, v)
 
 
 def test_uncovered_families_have_no_closed_form():

@@ -21,9 +21,11 @@ from datarewards import (
     best_response_sar,
     best_response_sur,
 )
+from datarewards import oracle
 from datarewards.oracle import (
     DiscretizedMarket,
     _br_grid,
+    _window_guesses,
     _windowed_argmax,
     _x_cap,
     oracle_adv_br,
@@ -230,6 +232,105 @@ def test_windowed_argmax_recovers_from_a_wrong_guess(guess):
     )
     assert np.array_equal(idx, np.argmax(table, axis=1))
     assert np.array_equal(val, table.max(axis=1))
+
+
+sorted_rows = st.integers(min_value=1, max_value=40).flatmap(
+    lambda m: st.tuples(
+        # a type grid with ties, and rows drawn partly from its values,
+        # so that breakpoints tie with types and with each other
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5, 7.0]) | st.floats(0.0, 10.0),
+                 min_size=m, max_size=m).map(sorted),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=30),
+        st.data(),
+    ))
+
+
+@given(sorted_rows)
+@settings(max_examples=100, deadline=None)
+def test_window_guesses_match_per_row_searchsorted(case):
+    thetas, k, n, data = case
+    thetas = np.array(thetas)
+    pool = st.sampled_from([*thetas.tolist(), math.inf, -math.inf]) | st.floats(
+        -1.0, 12.0) | st.just(math.inf)
+    breaks = np.array([sorted(data.draw(st.lists(pool, min_size=n, max_size=n)))
+                       for _ in range(k)]).reshape(k, n)
+    if k and data.draw(st.booleans()):
+        # a zero cap leaves NaN breakpoints, which sort last
+        breaks[0, n // 2:] = math.nan
+    want = np.array([np.searchsorted(row, thetas) for row in breaks], dtype=np.int64)
+    assert np.array_equal(_window_guesses(breaks, thetas), want.reshape(-1))
+
+
+def _recording_windows(monkeypatch):
+    """Record the widths of the windows `_br_grid` evaluates, and each
+    row's entry count per `_windowed_argmax` call."""
+    calls = []
+    inner = oracle._windowed_argmax
+
+    def windowed(payoff, n, guess, margin):
+        entries = np.zeros(len(guess), dtype=np.int64)
+        widths = set()
+
+        def counted(rows, cand):
+            np.add.at(entries, rows, cand.shape[0])
+            widths.add(cand.shape[0])
+            return payoff(rows, cand)
+
+        out = inner(counted, n, guess, margin)
+        calls.append((entries, widths))
+        return out
+
+    monkeypatch.setattr(oracle, "_windowed_argmax", windowed)
+    return calls
+
+
+# one market of each of the eight utility x type-distribution families
+_FAMILY_MARKETS = [("fig5a", False), ("fig5b", False), ("fig5b", True), ("fig5c", False),
+                   ("fig7a", False), ("fig7b", False), ("fig7b", True), ("fig7c", False)]
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SUR, Scheme.SURD])
+@pytest.mark.parametrize("name,mu0", _FAMILY_MARKETS)
+def test_br_grid_evaluates_three_entries_per_row(monkeypatch, name, mu0, scheme):
+    # cost guard: on the benchmark's oracle grid every (reward, type, r)
+    # row settles in its first window of three entries
+    calls = _recording_windows(monkeypatch)
+    params = _mid_capacity(name, mu0)
+    market = DiscretizedMarket.build(params, m=200, n_x=201, n_omega=60, n_p=100)
+    oracle_stage1(params, scheme, market)
+    assert calls
+    for entries, _ in calls:
+        assert entries.max() <= 3
+
+
+def test_br_grid_row_open_after_first_window(monkeypatch):
+    # a type placed on a breakpoint of its row: entries k and k + 1 tie,
+    # so the three-entry window's edge reaches its best and the row is
+    # searched again in a wider window
+    params = _br_params(LogUtility(), UniformTypes(155.0))
+    w = params.phi * params.Q / params.F
+    top, k = 150.0, 20
+    xs = np.linspace(0.0, _x_cap(params, top, w), 201)
+    base = params.utility.u(w * xs)
+    breaks = params.phi * np.diff(xs) / np.diff(base)
+    thetas = np.array([breaks[k], top])
+    market = DiscretizedMarket(theta_grid=thetas, weights=np.array([0.5, 0.5]),
+                               n_x=201, n_omega=2, n_p=1)
+    calls = _recording_windows(monkeypatch)
+    r, x = _br_grid(params, market, w, Scheme.SUR)
+    assert any(widths >= {3, 9} for _, widths in calls)
+    want_r, want_x = _br_grid_dense(params, market, w, Scheme.SUR)
+    assert np.array_equal(r, want_r)
+    assert np.array_equal(x, want_x)
+
+
+def test_discretized_market_compares_and_hashes_by_identity():
+    p = _log_uniform()
+    a = DiscretizedMarket.build(p, m=10, n_x=5, n_omega=3, n_p=2)
+    b = DiscretizedMarket.build(p, m=10, n_x=5, n_omega=3, n_p=2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 # ---------------------------------------------------------------------------
