@@ -18,8 +18,8 @@ families by quadrature of the same rises of the basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class UserClass(Enum):
     NON_SUBSCRIBERS = "non_subscribers"
 
 
-@dataclass(frozen=True)
-class AdMarketStats:
+class AdMarketStats(NamedTuple):
     """Watcher mass and per-watcher ad-count moments; elementwise
     arrays at an array of rewards.
 
@@ -58,8 +57,7 @@ class AdMarketStats:
 ZERO_STATS = AdMarketStats(n_ad=0.0, ey=0.0, ey2=0.0)
 
 
-@dataclass(frozen=True)
-class WatchMoments:
+class WatchMoments(NamedTuple):
     """Type mass of a pool of watchers and the weighted integrals of the
     ads they watch, int x g and int x^2 g: floats at one reward, arrays
     at an array of rewards. Two pools add up to the pooled one."""
@@ -74,10 +72,15 @@ class WatchMoments:
         )
 
 
-def _segment_moments(params: MarketParams, w, lo, hi, z) -> WatchMoments:
+_NO_WATCHERS = WatchMoments(0.0, 0.0, 0.0)
+
+
+def _segment_moments(
+    params: MarketParams, w, lo, hi, z, array: bool | None = None
+) -> WatchMoments:
     """Moments of the watch segment [lo, hi], whose ads vanish at z
     (theta1 for subscribers, theta3 for non-subscribers); zero where the
-    segment holds no mass.
+    segment holds no mass; array: whether w is an array (else found).
 
     On the segment x = B(w) (g(theta) - g(z)) (see `model`), so the
     moments are B and B^2 times the integrals of the basis rise
@@ -87,16 +90,18 @@ def _segment_moments(params: MarketParams, w, lo, hi, z) -> WatchMoments:
     Every other family integrates the rise (`basis_rise`, which does not
     cancel for theta near z) by one `integrate` pass at one reward or
     one `integrate_segments` pass at an array of rewards."""
+    array = isinstance(w, np.ndarray) if array is None else array
+    if not array and hi <= lo:
+        return _NO_WATCHERS
     k = params.utility.basis_power
     moments = params.dist.basis_moments(k, z, lo, hi)
-    array = isinstance(w, np.ndarray)
     if moments is None:
         moments = _rise_quadrature(params.dist, k, z, lo, hi, array)
     seg_mass, rise, rise2 = moments
     if array:
         w = np.where(seg_mass > 0.0, w, 1.0)  # B at w = 0 is not needed
     elif seg_mass <= 0.0:
-        return WatchMoments(0.0, 0.0, 0.0)
+        return _NO_WATCHERS
     scale = params.utility.watch_scale(params.phi, w)
     return WatchMoments(seg_mass, scale * rise, scale * scale * rise2)
 
@@ -111,12 +116,12 @@ def _rise_quadrature(dist: TypeDistribution, k: float, z, lo, hi, array: bool) -
         rise = basis_rise(k, start, d)
         return np.array((rise, rise * rise))
 
-    seg_mass = mass(dist, lo, hi)
     if array:
+        seg_mass = mass(dist, lo, hi)
         hi = np.where(seg_mass > 0.0, hi, lo)
         ex = integrate_segments(dist, lambda _, seg, d: rises(z[seg], d), lo, hi, 2, origin=z)
         return (seg_mass, *ex)
-    if seg_mass <= 0.0:
+    if hi <= lo or (seg_mass := dist.mass(lo, hi)) <= 0.0:  # `mass`, without its dispatch
         return 0.0, 0.0, 0.0  # empty, or outside the support
     return (seg_mass, *integrate(dist, lambda _, d: rises(z, d), lo, hi, origin=z).tolist())
 
@@ -127,9 +132,10 @@ def watch_moments(
     """Moments of the subscribers' and of the non-subscribers' watch
     segments of the partition. Demand and the pooled and per-class ad
     stats derive from these."""
+    array = isinstance(part.w, np.ndarray)
     return (
-        _segment_moments(params, part.w, *part.sub_watch, part.theta1),
-        _segment_moments(params, part.w, *part.alone_watch, part.theta3),
+        _segment_moments(params, part.w, *part.sub_watch, part.theta1, array),
+        _segment_moments(params, part.w, *part.alone_watch, part.theta3, array),
     )
 
 
@@ -174,9 +180,13 @@ def advertiser_best_response(stats: AdMarketStats, params: MarketParams, p):
         ey2 = np.where(buys, stats.ey2, 1.0)
         m = (params.B - p) / (2.0 * params.A) * (stats.ey**2 / ey2) * stats.n_ad
         return np.where(buys, m, 0.0)
-    if stats.n_ad <= 0.0 or p >= params.B or stats.ey2 <= 0.0:
+    return _slots(params, *stats, p)
+
+
+def _slots(params: MarketParams, n_ad: float, ey: float, ey2: float, p: float) -> float:
+    if n_ad <= 0.0 or p >= params.B or ey2 <= 0.0:
         return 0.0
-    return (params.B - p) / (2.0 * params.A) * (stats.ey**2 / stats.ey2) * stats.n_ad
+    return (params.B - p) / (2.0 * params.A) * (ey**2 / ey2) * n_ad
 
 
 def optimal_price(stats: AdMarketStats, params: MarketParams):
@@ -193,16 +203,17 @@ def optimal_price(stats: AdMarketStats, params: MarketParams):
             params.B / 2.0, params.B - 2.0 * params.A * stats.ey2 / (params.K * ey)
         )
         return np.where(priced, p, params.B / 2.0)
-    if stats.n_ad <= 0.0 or stats.ey <= 0.0:
+    return _price(params, *stats)
+
+
+def _price(params: MarketParams, n_ad: float, ey: float, ey2: float) -> float:
+    if n_ad <= 0.0 or ey <= 0.0:
         return params.B / 2.0
-    return max(
-        params.B / 2.0,
-        params.B - 2.0 * params.A * stats.ey2 / (params.K * stats.ey),
-    )
+    p = params.B - 2.0 * params.A * ey2 / (params.K * ey)
+    return p if p > params.B / 2.0 else params.B / 2.0  # max(B / 2, p)
 
 
-@dataclass(frozen=True)
-class AdSideOutcome:
+class AdSideOutcome(NamedTuple):
     """Ad revenue at the operator's optimal price(s) for one reward level;
     elementwise arrays at an array of rewards, NaN for an absent price."""
 
@@ -218,6 +229,15 @@ def pool_revenue(stats: AdMarketStats, params: MarketParams):
     p = optimal_price(stats, params)
     m = advertiser_best_response(stats, params, p)
     return params.K * m * p, p
+
+
+def _pool_at(params: MarketParams, mass: float, ex: float, ex2: float) -> tuple[float, float]:
+    """`pool_revenue` of a pool's `_stats` at one reward, without the records."""
+    if mass <= 0.0:
+        return 0.0, params.B / 2.0
+    stats = params.N * mass, ex / mass, ex2 / mass
+    p = _price(params, *stats)
+    return params.K * _slots(params, *stats, p) * p, p
 
 
 def ad_sides(
@@ -236,16 +256,17 @@ def ad_sides(
     one); elsewhere it coincides with the pooled scheme.
     """
     sub, alone = moments
-    rev, p = pool_revenue(_stats(params, sub + alone), params)
+    array = isinstance(part.w, np.ndarray)
+    # a pool's revenue and price from its moments' fields
+    pool = (lambda p_, *f: pool_revenue(_stats(p_, WatchMoments(*f)), p_)) if array else _pool_at
+    rev, p = pool(params, sub.mass + alone.mass, sub.ex + alone.ex, sub.ex2 + alone.ex2)
     pooled = AdSideOutcome(rev, p, None, None)
     if scheme is Scheme.SAR:
         return pooled, None
-    array = isinstance(part.w, np.ndarray)
     in_c = part.case == 2 if array else part.case is SurCase.C
     if not (array or in_c):
         return pooled, pooled
-    rev_i, p_i = pool_revenue(_stats(params, sub), params)
-    rev_ii, p_ii = pool_revenue(_stats(params, alone), params)
+    (rev_i, p_i), (rev_ii, p_ii) = pool(params, *sub), pool(params, *alone)
     if not array:
         return pooled, AdSideOutcome(rev_i + rev_ii, None, p_i, p_ii)
     return pooled, AdSideOutcome(

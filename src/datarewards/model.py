@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from typing import Callable
 
@@ -112,6 +112,10 @@ class LogUtility:
     def inverse_marginal(self, s):
         """(u')^{-1}(s); s may be a float or an array."""
         _check_marginal(s)
+        return self.unchecked_inverse(s)
+
+    def unchecked_inverse(self, s):
+        """`inverse_marginal` without its range check."""
         return 1.0 / s - 1.0
 
     # the level is w theta / phi - 1
@@ -141,6 +145,8 @@ class AlphaFairUtility:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 <= self.mu < math.inf:
             raise ScenarioError(f"mu must be >= 0 and finite, got {self.mu}")
+        # the level is (w / phi)^(1/alpha) theta^(1/alpha) - mu
+        object.__setattr__(self, "basis_power", 1.0 / self.alpha)
 
     def u(self, z):
         """u(z); z may be a float or an array."""
@@ -168,12 +174,11 @@ class AlphaFairUtility:
     def inverse_marginal(self, s):
         """(u')^{-1}(s); s may be a float or an array."""
         _check_marginal(s, self.u_prime_zero)
-        return s ** (-1.0 / self.alpha) - self.mu
+        return self.unchecked_inverse(s)
 
-    @property
-    def basis_power(self) -> float:
-        """The level is (w / phi)^(1/alpha) theta^(1/alpha) - mu."""
-        return 1.0 / self.alpha
+    def unchecked_inverse(self, s):
+        """`inverse_marginal` without its range check."""
+        return s ** (-1.0 / self.alpha) - self.mu
 
     def watch_scale(self, phi: float, w):
         """B(w) of the ads x = B(w) (g(theta) - g(z)); w may be a float
@@ -213,8 +218,13 @@ class ExpUtility:
     def inverse_marginal(self, s):
         """(u')^{-1}(s); s may be a float or an array."""
         _check_marginal(s, self.gamma)
-        log = np.log if isinstance(s, np.ndarray) else math.log
-        return log(self.gamma / s) / self.gamma
+        if isinstance(s, np.ndarray):
+            return np.log(self.gamma / s) / self.gamma
+        return self.unchecked_inverse(s)
+
+    def unchecked_inverse(self, s: float) -> float:
+        """`inverse_marginal` at a float, without its range check."""
+        return math.log(self.gamma / s) / self.gamma
 
     # the level is (ln theta + ln(gamma w / phi)) / gamma
     basis_power = 0.0
@@ -268,7 +278,8 @@ class UniformTypes:
         a, b = lo / self.theta_max, hi / self.theta_max
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.clip(b, 0.0, 1.0) - np.clip(a, 0.0, 1.0)
-        return (0.0 if b <= 0.0 else min(b, 1.0)) - (0.0 if a <= 0.0 else min(a, 1.0))
+        return ((0.0 if b <= 0.0 else 1.0 if 1.0 < b else b)
+                - (0.0 if a <= 0.0 else 1.0 if 1.0 < a else a))
 
     def basis_moments(self, power: float, z, lo, hi):
         """Mass of the segment [lo, hi] within the support and the
@@ -286,7 +297,7 @@ class UniformTypes:
                          for v, dummy in ((z, 1.0), (lo, 1.0), (hi, 2.0)))
             i1, i2 = _basis_integrals(power, z, lo, hi)
             return tuple(np.where(full, v / top, 0.0) for v in (hi - lo, i1, i2))
-        hi = min(hi, top)
+        hi = top if top < hi else hi  # min(hi, top)
         if hi <= lo:
             return 0.0, 0.0, 0.0
         i1, i2 = _basis_integrals(power, z, lo, hi)
@@ -332,10 +343,7 @@ class TruncatedNormalTypes:
                 "truncation interval carries no parent-normal mass"
             )
         object.__setattr__(self, "_mass", mass)
-
-    @property
-    def theta_max(self) -> float:
-        return self.hi
+        object.__setattr__(self, "theta_max", self.hi)
 
     def panel_edges(self, lo: float, hi: float) -> list[float]:
         """Equal quadrature panels covering [lo, hi] within the support.
@@ -380,7 +388,7 @@ class TruncatedNormalTypes:
             mass = _normal_mass(z_a, z_b) / self._mass  # type: ignore[attr-defined]
             # an empty interval, as one from lo = +inf, has no mass
             return np.where(hi > lo, mass, 0.0)
-        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        lo, hi = (self.lo if self.lo > lo else lo), (self.hi if self.hi < hi else hi)
         if hi <= lo:
             return 0.0
         return _normal_mass(
@@ -457,7 +465,7 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
 
 def _normal_mass(z_a, z_b):
     """Standard normal probability of [z_a, z_b], elementwise for
-    arrays.
+    arrays (z_a and z_b both floats or both arrays).
 
     With the upper tail Q(z) = erfc(z / sqrt 2) / 2, the mass is
     Q(z_a) - Q(z_b) above the mean (z_a > 0) and Q(-z_b) - Q(-z_a)
@@ -471,7 +479,7 @@ def _normal_mass(z_a, z_b):
     keep only an absolute accuracy of a few 2^-1074; beyond about
     38.5 sd they are 0.0.
     """
-    if isinstance(z_a, np.ndarray) or isinstance(z_b, np.ndarray):
+    if isinstance(z_a, np.ndarray):
         above = z_a > 0.0
         near = _erfc_array(np.where(above, z_a, -z_b) * _SQRT_HALF)
         far = _erfc_array(np.where(above, z_b, -z_a) * _SQRT_HALF)
@@ -521,8 +529,8 @@ def _exp_tails(*xs) -> tuple:
         t = np.minimum(x, 1.0)
         series = t * t * t * _horner(_TAIL_COEFFS, t)
         return tuple(np.where(x < 1.0, series, np.expm1(x) - x - 0.5 * x * x))
-    return tuple(x * x * x * _horner(_TAIL_COEFFS, x) if x < 1.0
-                 else math.expm1(x) - x - 0.5 * x * x for x in xs)
+    return tuple([x * x * x * _horner(_TAIL_COEFFS, x) if x < 1.0
+                  else math.expm1(x) - x - 0.5 * x * x for x in xs])
 
 
 def _horner(coeffs, x):
@@ -801,14 +809,16 @@ def integrate(
         while 0.0 < a * _GRADING ** (levels + 1) < b and levels < 10:
             levels += 1
         edges[1:1] = [b / _GRADING**j for j in range(levels, 0, -1)]
-    starts = edges[:-1]
-    panels = [_panel_nodes(*panel) for panel in zip(starts, edges[1:])]
-    theta = np.concatenate([left + step for left, (step, _) in zip(starts, panels)])
-    weights = np.concatenate([v for _, v in panels])
-    if origin is None:
-        values = f(theta)
+    if not edges[2:]:  # one panel, whose nodes need no joining
+        step, weights = _panel_nodes(a, b)
+        theta = a + step
+        values = f(theta) if origin is None else f(theta, (a - origin) + step)
     else:
-        values = f(theta, np.concatenate(
+        starts = edges[:-1]
+        panels = [_panel_nodes(*panel) for panel in zip(starts, edges[1:])]
+        theta = np.concatenate([left + step for left, (step, _) in zip(starts, panels)])
+        weights = np.concatenate([v for _, v in panels])
+        values = f(theta) if origin is None else f(theta, np.concatenate(
             [(left - origin) + step for left, (step, _) in zip(starts, panels)]))
     # the weights are positive: any non-finite value makes the sum non-finite
     value = np.multiply(values, dist.pdf(theta)) @ weights
@@ -942,6 +952,15 @@ class MarketParams:
     C: float
     utility: UtilityModel
     dist: TypeDistribution
+    # derived once for stage II, and kept out of ==, hash and repr: u(Q),
+    # u'(Q), u'(0), theta0 = F/u(Q), `users.case_bounds`, `root_resolution`
+    u_q: float = field(init=False, compare=False, repr=False)
+    up_q: float = field(init=False, compare=False, repr=False)
+    up0: float = field(init=False, compare=False, repr=False)
+    theta0: float = field(init=False, compare=False, repr=False)
+    case_bounds_sar: tuple[float, float] = field(init=False, compare=False, repr=False)
+    case_bounds_sur: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    root_resolution: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # A = 0 would put a zero in every slot-demand denominator
@@ -951,25 +970,33 @@ class MarketParams:
         if math.isnan(self.C):
             raise ScenarioError("C must be a number, got nan")
 
-        u = self.utility
+        u, phi, F, Q = self.utility, self.phi, self.F, self.Q
         theta_max = self.dist.theta_max
-        up0 = u.u_prime_zero
+        u_q, up_q, up0 = u.u(Q), u.u_prime(Q), u.u_prime_zero
         if math.isinf(up0):
             # The participation-width assumption below is vacuous when
             # marginal utility blows up at zero; only the basic
             # subscription condition remains checkable.
-            if theta_max <= self.F / u.u(self.Q):
+            if theta_max <= F / u_q:
                 raise ScenarioError(
                     "theta_max must exceed F/u(Q) so that some users subscribe"
                 )
         else:
-            bound = up0 * self.F / (u.u_prime(self.Q) * u.u(self.Q))
+            bound = up0 * F / (up_q * u_q)
             if theta_max <= bound:
                 raise ScenarioError(
                     f"theta_max={theta_max} must exceed "
                     f"u'(0)F/(u'(Q)u(Q))={bound:.6g}"
                 )
 
+        bound_a, below_d = phi / (up_q * theta_max), math.nextafter(phi * Q / F, -math.inf)
+        for name, value in dict(
+            u_q=u_q, up_q=up_q, up0=up0, theta0=F / u_q, root_resolution=1e-10 * theta_max,
+            case_bounds_sar=(bound_a, phi * u_q / (F * up_q)),
+            case_bounds_sur=(0.0, 0.0, below_d) if math.isinf(up0)
+            else (bound_a, phi * u_q / (F * up0), below_d),
+        ).items():
+            object.__setattr__(self, name, value)
         d0 = self.baseline_demand()
         if self.C < d0 * (1.0 - CAPACITY_RTOL):
             raise ScenarioError(
@@ -978,8 +1005,7 @@ class MarketParams:
 
     def baseline_demand(self) -> float:
         """Data demand with no reward: quota times subscriber mass."""
-        theta0 = self.F / self.utility.u(self.Q)
-        return self.N * self.Q * mass(self.dist, theta0, self.dist.theta_max)
+        return self.N * self.Q * mass(self.dist, self.theta0, self.dist.theta_max)
 
 
 # ---------------------------------------------------------------------------

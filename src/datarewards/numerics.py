@@ -80,12 +80,13 @@ def newton_root(
     else:
         p, q, f_p, g = hi, lo, f_hi, -0.5 * xtol
     for _ in range(_MAX_ITER):
-        if abs(q - p) <= xtol:
+        if -xtol <= q - p <= xtol:
             break
         # the Newton step in units of g, inf at a zero slope
         units = -f_p / (slope * g) if slope != 0.0 else math.inf
         if 0.0 <= units < (q - p) / g:
-            x = p + max(float(math.floor(units)), 1.0) * g
+            whole = units // 1.0
+            x = p + (whole if whole > 1.0 else 1.0) * g
         else:
             x = 0.5 * (p + q)
         f_x, d_x = f(x)

@@ -138,18 +138,19 @@ class OperatorOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _demand(params: MarketParams, part: Thresholds, sub_mass, moments):
-    """The quota of every subscriber plus the rewarded data of every
-    watcher."""
-    sub, alone = moments
-    return params.N * params.Q * sub_mass + params.N * part.w * (sub.ex + alone.ex)
+def _demand(params: MarketParams, part: Thresholds, moments, array: bool):
+    """Demand, the quota of every subscriber plus the rewarded data of
+    every watcher, and the subscribers' type mass (array: w is an array)."""
+    (sub, alone), dist, top = moments, params.dist, params.dist.theta_max
+    sub_mass = mass(dist, part.cutoff, top) if array else (
+        0.0 if top <= part.cutoff else dist.mass(part.cutoff, top))  # `mass` at floats
+    return params.N * params.Q * sub_mass + params.N * part.w * (sub.ex + alone.ex), sub_mass
 
 
 def demand(params: MarketParams, w: float, scheme: Scheme) -> float:
     """Total data requested per month at reward w."""
     part = thresholds(params, w, scheme_aware=scheme is Scheme.SAR)
-    sub_mass = mass(params.dist, part.cutoff, params.dist.theta_max)
-    return _demand(params, part, sub_mass, watch_moments(params, part))
+    return _demand(params, part, watch_moments(params, part), isinstance(w, np.ndarray))[0]
 
 
 _SAR_LABELS = np.array([c.value for c in SarCase])
@@ -226,16 +227,15 @@ def evaluate_point(params: MarketParams, w, scheme: Scheme) -> PointEval:
     scalar path.
     """
     part = thresholds(params, w, scheme is Scheme.SAR)
-    moments = watch_moments(params, part)
-    sub_mass = mass(params.dist, part.cutoff, params.dist.theta_max)
+    moments, array = watch_moments(params, part), isinstance(w, np.ndarray)
+    total, sub_mass = _demand(params, part, moments, array)
     pooled, split = ad_sides(params, part, moments, scheme)
-    if isinstance(w, np.ndarray):
+    if array:
         label = (_SAR_LABELS if scheme is Scheme.SAR else _SUR_LABELS)[part.case]
     else:
-        label = part.case.value
+        label = part.case._value_  # .value is a property, and costs two calls
     return PointEval(
-        w=w, case_label=label,
-        demand=_demand(params, part, sub_mass, moments),
+        w=w, case_label=label, demand=total,
         r_data=params.N * params.F * sub_mass, theta4=part.theta4,
         ad=split if scheme is Scheme.SURD else pooled, ad_surd=split,
     )

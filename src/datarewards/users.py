@@ -95,35 +95,36 @@ class UserDecision:
 MIN_REWARD = 1e-300
 
 
-def _check_reward(w) -> None:
+def _check_reward(w) -> bool:
     """Raise DomainError unless the reward w is 0 or lies in
     [MIN_REWARD, inf), naming the first bad entry of an array: a
     negative, NaN or infinite reward has no partition. A reward is a
     real number or a 1-D array of them (stage II's array path handles
     one axis of rewards); anything else is named by its type, dtype or
-    shape."""
+    shape. Returns whether w is an array."""
     if isinstance(w, np.ndarray):
         if w.ndim != 1:
             raise DomainError(f"a reward array must be 1-D, got shape {w.shape}")
         if w.dtype.kind not in "fiu":
             raise DomainError(f"a reward array must hold real numbers, got dtype {w.dtype}")
         bad = ~((w == 0.0) | ((w >= MIN_REWARD) & (w < math.inf)))
+        if not bad.any():
+            return True
+        (w,) = _first(bad, w)
     else:
         if type(w) is not float and not isinstance(w, numbers.Real):
             raise DomainError(
                 f"a reward must be a real number or a 1-D array, got {type(w).__name__}"
             )
-        bad = not (w == 0.0 or MIN_REWARD <= w < math.inf)
-    if _any(bad):
-        (w_,) = _first(bad, w)
-        raise DomainError(
-            f"reward {w_!r} must be 0 or lie in [MIN_REWARD, inf) = "
-            f"[{MIN_REWARD!r}, inf)"
-        )
+        if w == 0.0 or MIN_REWARD <= w < math.inf:
+            return False
+    raise DomainError(
+        f"reward {w!r} must be 0 or lie in [MIN_REWARD, inf) = [{MIN_REWARD!r}, inf)"
+    )
 
 
 def theta0(params: MarketParams) -> float:
-    return params.F / params.utility.u(params.Q)
+    return params.theta0
 
 
 def _ratio_over(params: MarketParams, w, marginal: float):
@@ -138,36 +139,30 @@ def _ratio_over(params: MarketParams, w, marginal: float):
 
 def theta1(params: MarketParams, w):
     """phi / (w u'(Q)); w may be a float or an array."""
-    return _ratio_over(params, w, params.utility.u_prime(params.Q))
+    return _ratio_over(params, w, params.up_q)
 
 
 def theta3(params: MarketParams, w):
     """phi / (w u'(0)), 0 when u'(0) is infinite; w may be a float or
     an array."""
-    up0 = params.utility.u_prime_zero
-    if math.isinf(up0):
+    if params.up0 == math.inf:
         return np.zeros_like(w) if isinstance(w, np.ndarray) else 0.0
-    return _ratio_over(params, w, up0)
+    return _ratio_over(params, w, params.up0)
 
 
 def case_bound_a(params: MarketParams) -> float:
     """Largest w at which no user watches ads (either scheme)."""
-    u = params.utility
-    return params.phi / (u.u_prime(params.Q) * params.dist.theta_max)
+    return params.case_bounds_sar[0]
 
 
 def case_bound_b_sar(params: MarketParams) -> float:
     """Aware-scheme B/C boundary."""
-    u = params.utility
-    return params.phi * u.u(params.Q) / (params.F * u.u_prime(params.Q))
+    return params.case_bounds_sar[1]
 
 
 def case_bound_b_sur(params: MarketParams) -> float:
     """Unaware-scheme B/C boundary; 0 when u'(0) is infinite."""
-    up0 = params.utility.u_prime_zero
-    if math.isinf(up0):
-        return 0.0
-    return params.phi * params.utility.u(params.Q) / (params.F * up0)
+    return params.case_bounds_sur[1]
 
 
 def case_bound_d(params: MarketParams) -> float:
@@ -187,18 +182,13 @@ def case_bounds(params: MarketParams, scheme_aware: bool) -> tuple[float, ...]:
     non-subscriber with theta > 0 gains from watching at any positive
     reward, so cases A^ and B^ hold no positive reward.
     """
-    if scheme_aware:
-        return case_bound_a(params), case_bound_b_sar(params)
-    below_d = math.nextafter(case_bound_d(params), -math.inf)
-    if math.isinf(params.utility.u_prime_zero):
-        return 0.0, 0.0, below_d
-    return case_bound_a(params), case_bound_b_sur(params), below_d
+    return params.case_bounds_sar if scheme_aware else params.case_bounds_sur
 
 
 def case_index(params: MarketParams, w, scheme_aware: bool):
     """The index of the case of w in list(SarCase) or list(SurCase),
     the number of case bounds below w; elementwise when w is an array."""
-    bounds = case_bounds(params, scheme_aware)
+    bounds = params.case_bounds_sar if scheme_aware else params.case_bounds_sur
     if isinstance(w, np.ndarray):
         return np.searchsorted(bounds, w)
     return bisect_left(bounds, w)
@@ -231,10 +221,16 @@ def _x_level(params: MarketParams, theta, w: float):
         else:
             ratio = params.phi / (w * theta)
         return np.maximum(params.utility.inverse_marginal(ratio), 0.0)
+    return _x_level_at(params, theta, w)
+
+
+def _x_level_at(params: MarketParams, theta: float, w: float) -> float:
+    """`_x_level` at a float type, unchecked: watch segments and root brackets
+    keep phi / (w theta) in [u'(Q), u'(0)] up to rounding, which the clamp takes."""
     if theta <= 0.0:
         return 0.0
-    # clamp the rounding dust at segment endpoints (level = 0 or Q there)
-    return max(params.utility.inverse_marginal(params.phi / (w * theta)), 0.0)
+    level = params.utility.unchecked_inverse(params.phi / (w * theta))
+    return 0.0 if level < 0.0 else level  # max(level, 0.0)
 
 
 def _h(params: MarketParams, w):
@@ -246,12 +242,13 @@ def _h(params: MarketParams, w):
     h is max over levels L >= 0 of theta u(L) - F - (phi/w)(L - Q), a
     maximum of functions affine in theta, so it is convex, and by the
     envelope theorem its slope is u at the maximizing level."""
-    u, ratio = params.utility.u, params.phi / w
+    u, ratio, F, Q = params.utility.u, params.phi / w, params.F, params.Q
+    x_level = _x_level if isinstance(w, np.ndarray) else _x_level_at
 
     def h(theta):
-        level = _x_level(params, theta, w)
+        level = x_level(params, theta, w)
         u_level = u(level)
-        return theta * u_level - params.F - ratio * (level - params.Q), u_level
+        return theta * u_level - F - ratio * (level - Q), u_level
 
     return h
 
@@ -265,18 +262,15 @@ def _v(params: MarketParams, w):
 
     Convex for the reason h is: a maximum over levels of functions
     affine in theta, less the affine theta u(Q) - F."""
-    u, ratio, u_q = params.utility.u, params.phi / w, params.utility.u(params.Q)
+    u, ratio, u_q, F = params.utility.u, params.phi / w, params.u_q, params.F
+    x_level = _x_level if isinstance(w, np.ndarray) else _x_level_at
 
     def v(theta):
-        level = _x_level(params, theta, w)
+        level = x_level(params, theta, w)
         u_level = u(level)
-        return theta * u_level - ratio * level - theta * u_q + params.F, u_level - u_q
+        return theta * u_level - ratio * level - theta * u_q + F, u_level - u_q
 
     return v
-
-
-def _any(flags) -> bool:
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
 def _first(bad, *values) -> list[float]:
@@ -293,8 +287,8 @@ def root_resolution(params: MarketParams) -> float:
     root search stops at a bracket this wide and returns its midpoint,
     so a root lies within half of it of the exact root, and two roots
     can be ordered wrongly by up to all of it. Checks on these roots
-    allow that much."""
-    return 1e-10 * params.dist.theta_max
+    allow that much: 1e-10 theta_max."""
+    return params.root_resolution
 
 
 def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
@@ -311,7 +305,8 @@ def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
     sign = 1.0 if rising else -1.0  # sign * g rises through 0
     tol = 1e-9 * params.F
     bad = (sign * f_lo >= tol) | (sign * f_hi <= -tol)
-    if _any(bad):
+    array = isinstance(w, np.ndarray)
+    if bad.any() if array else bad:
         lo_, f_lo_, hi_, f_hi_, w_ = _first(bad, lo, f_lo, hi, f_hi, w)
         name, trend = g.__name__.lstrip("_"), "rise" if rising else "fall"
         raise InternalConsistencyError(
@@ -321,8 +316,8 @@ def _case_c_root(params: MarketParams, g, lo, hi, rising: bool, w, what: str):
         )
     at_lo, at_hi = sign * f_lo >= 0.0, sign * f_hi <= 0.0
     slope = slope_hi if rising else slope_lo
-    xtol = root_resolution(params)
-    if isinstance(w, np.ndarray):
+    xtol = params.root_resolution
+    if array:
         f_lo, f_hi = np.where(at_lo, 0.0, f_lo), np.where(at_hi, 0.0, f_hi)
         return newton_roots(f, lo, hi, xtol, f_lo, f_hi, slope)
     f_lo, f_hi = (0.0 if at_lo else f_lo), (0.0 if at_hi else f_hi)
@@ -342,7 +337,7 @@ def solve_theta2(params: MarketParams, w):
     w may be one reward or an array of case-C rewards, whose roots are
     then found together, each by the steps of its scalar solve.
     """
-    t0, t1 = theta0(params), theta1(params, w)
+    t0, t1 = params.theta0, theta1(params, w)
     if isinstance(w, np.ndarray):
         t0 = np.full(len(w), t0)
     return _case_c_root(params, _h, t1, t0, True, w, "subscribe-iff-watching")
@@ -356,19 +351,20 @@ def solve_theta4(params: MarketParams, w):
     above it they subscribe. v is convex with slope u(level) - u(Q) < 0
     on the bracket, so Newton steps from theta3, where v > 0, climb to
     the root without passing it; the result lies within
-    `root_resolution`/2 of it. Near the collapse reward phi Q/F the
-    root nears theta1, where the slope vanishes, and the steps slow to
-    halving. The exact root exceeds theta0; the returned one does up
-    to `root_resolution`.
+    `root_resolution`/2 of it, but within about 1e-10 relative below the
+    collapse reward phi Q/F: there the root nears theta1, where the slope
+    vanishes, the steps slow to halving, and a last-bit difference in v
+    moves the result by up to about 65 `root_resolution`. The exact root
+    exceeds theta0; the returned one does up to `root_resolution`.
 
     w may be one reward or an array of case-C^ rewards, whose roots are
     then found together, each by the steps of its scalar solve.
     """
     t1, t3 = theta1(params, w), theta3(params, w)
     root = _case_c_root(params, _v, t3, t1, False, w, "non-subscriber band")
-    t0 = theta0(params)
-    low = root <= t0 * (1.0 - 1e-9) - root_resolution(params)
-    if _any(low):
+    t0 = params.theta0
+    low = root <= t0 * (1.0 - 1e-9) - params.root_resolution
+    if low.any() if isinstance(low, np.ndarray) else low:
         root_, w_ = _first(low, root, w)
         raise InternalConsistencyError(
             f"subscription cutoff {root_:.6g} fell below the zero-reward "
@@ -393,19 +389,18 @@ def _watch_alone(params: MarketParams, theta, w):
     return _x_level(params, theta, w) / w
 
 
-def _case_rules(t0, t1, t3, root, top, scheme_aware: bool) -> tuple:
+def _case_rules(t0, t1, t3, root, band_top, top, scheme_aware: bool) -> tuple:
     """(cutoff, subscriber watch start, non-subscriber watch start and
     end) in each case, in the order of list(SarCase) or list(SurCase).
     root is the case-C threshold, theta2 (aware) or theta4 (unaware),
-    NaN where absent; each entry is a float or an array of one value
-    per reward."""
+    NaN where absent, and band_top the lesser of theta4 and top; each
+    entry is a float or an array of one value per reward."""
     # A: [theta0, top] subscribe, nobody watches; B: subscribers above
     # theta1 watch; an empty non-subscriber segment is (0, 0)
     a, b = (t0, top, 0.0, 0.0), (t0, t1, 0.0, 0.0)
     if scheme_aware:
         # C: exactly those above theta2 subscribe, and all of them watch
         return a, b, (root, root, 0.0, 0.0)
-    band_top = np.fmin(root, top) if isinstance(root, np.ndarray) else min(root, top)
     # C^: [theta4, top] subscribe and non-subscribers watch on
     # [theta3, theta4]; D^: nobody subscribes, all above theta3 watch
     return a, b, (root, t1, t3, band_top), (math.inf, top, t3, top)
@@ -421,27 +416,31 @@ def thresholds(params: MarketParams, w, scheme_aware: bool) -> Thresholds:
     then found together (`solve_theta2` / `solve_theta4`). A reward
     that is neither 0 nor in [MIN_REWARD, inf) raises DomainError.
     """
-    _check_reward(w)
-    t0, t1, t3 = theta0(params), theta1(params, w), theta3(params, w)
-    top = params.dist.theta_max
+    array = _check_reward(w)
+    t0, top = params.theta0, params.dist.theta_max
     solve_root = solve_theta2 if scheme_aware else solve_theta4
     case = case_index(params, w, scheme_aware)
-    if isinstance(w, np.ndarray):
+    if array:
+        t1, t3 = theta1(params, w), theta3(params, w)
         top = np.full(len(w), top)
         root = np.full(len(w), math.nan)
         in_c = case == 2
         if in_c.any():
             root[in_c] = solve_root(params, w[in_c])
         cutoff, sub_lo, alone_lo, alone_hi = (
-            np.choose(case, rule)
-            for rule in zip(*_case_rules(t0, t1, t3, root, top, scheme_aware))
+            np.choose(case, rule) for rule in zip(*_case_rules(
+                t0, t1, t3, root, np.fmin(root, top), top, scheme_aware))
         )
         absent = np.full(len(w), math.nan)
         t2, t4 = (root, absent) if scheme_aware else (absent, root)
     else:
+        # `theta1` and `theta3` (phi / (w inf) = 0 where u'(0) = inf)
+        phi, up0 = params.phi, params.up0
+        t1, t3 = ((phi / (w * params.up_q), phi / (w * up0)) if w > 0.0
+                  else (math.inf, 0.0 if up0 == math.inf else math.inf))
         root = solve_root(params, w) if case == 2 else math.nan
         cutoff, sub_lo, alone_lo, alone_hi = _case_rules(
-            t0, t1, t3, root, top, scheme_aware
+            t0, t1, t3, root, top if top < root else root, top, scheme_aware
         )[case]
         root = root if case == 2 else None
         t2, t4 = (root, None) if scheme_aware else (None, root)

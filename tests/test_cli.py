@@ -134,7 +134,7 @@ def test_reproduce_fixed_capacity_preset(capsys):
 def test_reproduce_scalar_demand_budget(monkeypatch, capsys):
     # the feasible-boundary and D^-1(C) bisections decide most midpoints
     # from earlier evaluations: fig5a at --grid 150 took 2 062 scalar
-    # demand calls when every midpoint was evaluated, and takes 931 now
+    # demand calls when every midpoint was evaluated, and takes 936 now
     import datarewards.solver as solver_mod
 
     orig, calls = solver_mod.demand, []

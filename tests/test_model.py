@@ -700,3 +700,56 @@ def test_params_hashable_and_frozen(fig5a_params):
     )
     with pytest.raises(AttributeError):
         fig5a_params.N = 1.0
+
+
+_DERIVED = ("u_q", "up_q", "up0", "theta0", "case_bounds_sar", "case_bounds_sur",
+            "root_resolution")
+
+
+def _derived(params: MarketParams) -> tuple:
+    return tuple(getattr(params, name) for name in _DERIVED)
+
+
+def _constructed(params: MarketParams) -> MarketParams:
+    """The same market built afresh from its init fields."""
+    return MarketParams(**{f.name: getattr(params, f.name)
+                           for f in dataclasses.fields(MarketParams) if f.init})
+
+
+@pytest.mark.parametrize("name", ["fig5a", "fig5b", "fig7c", "appK"])
+def test_derived_market_constants_stay_out_of_identity(name):
+    p = PRESETS[name].params()
+    derived = [f for f in dataclasses.fields(MarketParams) if not f.init]
+    assert tuple(f.name for f in derived) == _DERIVED
+    assert not any(f.compare or f.repr for f in derived)
+    # == and hash read the init fields alone, as `_solve_unaware_pair`'s
+    # cache keys did before the constants were kept
+    init = tuple(getattr(p, f.name) for f in dataclasses.fields(MarketParams) if f.init)
+    assert hash(p) == hash(init)
+    twin = _constructed(p)
+    for name_ in _DERIVED:
+        object.__setattr__(twin, name_, math.nan)
+    assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+    assert not any(name_ in repr(p) for name_ in _DERIVED)
+    # scenario files hold the init fields alone, and a round trip through
+    # them, like `dataclasses.replace`, derives the constants again
+    doc = params_to_dict(p)
+    assert set(doc) == {"N", "F", "Q", "phi", "K", "A", "B", "C", "utility", "distribution"}
+    assert set(doc["distribution"]) == {"variant", *(
+        f.name for f in dataclasses.fields(p.dist))}
+    assert _derived(params_from_dict(json.loads(json.dumps(doc)))) == _derived(p)
+    for changed in (dataclasses.replace(p, F=0.5 * p.F), dataclasses.replace(p, phi=2.0 * p.phi),
+                    dataclasses.replace(p, Q=0.9 * p.Q, C=math.inf)):
+        assert _derived(changed) == _derived(_constructed(changed)) != _derived(p)
+
+
+def test_derived_market_constants_equal_their_definitions():
+    for preset in PRESETS.values():
+        p = preset.params()
+        u, top = p.utility, p.dist.theta_max
+        assert p.u_q == u.u(p.Q) and p.up_q == u.u_prime(p.Q) and p.up0 == u.u_prime_zero
+        assert p.theta0 == p.F / u.u(p.Q)
+        assert p.root_resolution == 1e-10 * top
+        assert p.case_bounds_sar == (p.phi / (u.u_prime(p.Q) * top),
+                                     p.phi * u.u(p.Q) / (p.F * u.u_prime(p.Q)))
+        assert p.case_bounds_sur[2] == math.nextafter(case_bound_d(p), -math.inf)

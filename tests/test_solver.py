@@ -417,6 +417,81 @@ def test_array_evaluation_is_batch_invariant(u, dist, scheme, fee, parts):
         assert np.array_equal(field, np.concatenate(pieces), equal_nan=True), k
 
 
+def _preset_rewards(p: MarketParams) -> np.ndarray:
+    """301 rewards on [0, 1.5 phi Q/F] and phi Q/F (1 - 10^-k) for
+    k = 3..9, less those within 1e-10 relative below phi Q/F, where
+    theta4 leaves its root contract (see the test below)."""
+    q = case_bound_d(p)
+    ws = [*np.linspace(0.0, 1.5 * q, 301), *(q * (1.0 - 10.0**-k) for k in range(3, 10))]
+    return np.array([w for w in ws if not q * (1.0 - 1e-10) < w < q])
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SAR, Scheme.SUR])
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_scalar_and_array_stage_ii_agree_on_every_preset(name, scheme):
+    # the scalar path (one reward: refinement, bisection, point queries)
+    # and the array path (grids) give every field within 1e-12, SURD's ad
+    # side included, and theta2 and theta4 bit for bit
+    p = PRESETS[name].params()
+    ws = _preset_rewards(p)
+    grid = evaluate_point(p, ws, scheme)
+    roots = thresholds(p, ws, scheme is Scheme.SAR)
+    apart = []
+    for i, w in enumerate(ws.tolist()):
+        pe, got = evaluate_point(p, w, scheme), grid.entry(i)
+        assert got.case_label == pe.case_label, w
+        assert _close(got.demand, pe.demand) and _close(got.r_data, pe.r_data), (w, got, pe)
+        assert (got.ad_surd is None) == (pe.ad_surd is None) == (scheme is Scheme.SAR)
+        for side, want in ((got.ad, pe.ad), (got.ad_surd, pe.ad_surd)):
+            for value, expected in zip(side or (), want or ()):
+                assert _close(value, expected), (w, side, want)
+        one = thresholds(p, w, scheme is Scheme.SAR)
+        for mine, theirs in ((one.theta2, roots.theta2[i]), (one.theta4, roots.theta4[i])):
+            if mine is None:
+                assert math.isnan(theirs), w
+            elif mine != theirs:
+                apart.append((w, abs(mine - theirs) / math.ulp(mine)))
+    # one exception: on appR-a at phi Q/F (1 - 1e-9) numpy's and libm's
+    # logarithms give v values near its root that differ in their last
+    # bits by 1.6e-4 relative, one Newton step differs, and theta4 lands
+    # one ulp (4.6e-7 root_resolution) apart
+    if (name, scheme) == ("appR-a", Scheme.SUR):
+        assert apart == [(case_bound_d(p) * (1.0 - 1e-9), 1.0)]
+    else:
+        assert apart == []
+
+
+def _theta4_gap(p: MarketParams, w: float) -> float:
+    """|scalar theta4 - array theta4| at w, in root_resolution."""
+    one = thresholds(p, w, False).theta4
+    return abs(one - thresholds(p, np.array([w]), False).theta4[0]) / root_resolution(p)
+
+
+def test_theta4_leaves_its_root_contract_just_below_the_collapse_reward():
+    # Just below phi Q/F, v'(theta4) vanishes: a last-bit difference in v
+    # moves its root by far more than root_resolution, so the scalar and
+    # the array root part, by up to 65 root_resolution (appR-b) at the
+    # float below phi Q/F and up to 2 at phi Q/F (1 - 1e-13). At
+    # phi Q/F (1 - 1e-9), where stage I cuts the unaware pieces, they
+    # agree to within an ulp.
+    below, near, cut = {}, {}, {}
+    for name, preset in PRESETS.items():
+        p = preset.params()
+        q = case_bound_d(p)
+        below[name] = _theta4_gap(p, math.nextafter(q, -math.inf))
+        near[name] = _theta4_gap(p, q * (1.0 - 1e-13))
+        cut[name] = _theta4_gap(p, q * (1.0 - 1e-9))
+    assert 10.0 < below["appR-b"] <= 100.0 and max(below.values()) <= 100.0
+    assert min(below[k] for k in ("fig5c", "fig5d", "fig7c")) > 1.0
+    assert 1.0 < near["appR-c"] and max(near.values()) <= 4.0
+    assert max(cut.values()) <= 1e-6
+    # the revenue follows: fig5d's r_total at its last reward below q
+    p = PRESETS["fig5d"].params()
+    w = math.nextafter(case_bound_d(p), -math.inf)
+    one, arr = evaluate_point(p, w, Scheme.SUR), evaluate_point(p, np.array([w]), Scheme.SUR)
+    assert 1e-9 < abs(one.r_total - arr.entry(0).r_total) / one.r_total < 1e-8
+
+
 def test_grid_evaluates_a_narrow_normal_in_bounded_chunks(monkeypatch):
     # sd 1/200 of the support: up to 65 density panels per segment, far
     # more panels than one node chunk holds; alpha-fair utility, whose
