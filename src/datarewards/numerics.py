@@ -195,7 +195,11 @@ def monotone_bisect(
     plus _SPARE_STEPS: at a jump of f far larger than its distance
     from the level, Illinois steps creep toward the jump, and this
     keeps the evaluations within _SPARE_STEPS + 2 of one per midpoint
-    taken, the plain loop's count. The
+    taken, the plain loop's count. Where the neighbour on a's side is
+    exactly on the level, no secant step exists: with an xtol, f is
+    evaluated once xtol/4 from it toward b (past a kink at a, that
+    decides every midpoint left, each more than xtol/2 from a), and
+    else at the midpoint. The
     answer is the plain loop's wherever f is monotone between the
     points evaluated; where it is not, a decided midpoint can lie on
     another side than f says there.
@@ -239,10 +243,13 @@ def monotone_bisect(
             evaluated.insert(i, True)
         return k
 
+    probed = False  # whether f was evaluated xtol/4 past a point on the level
+
     def decide(mid: float, width: float, budget: int) -> tuple[int, float | None]:
         # the side of mid, and the evaluated point toward b that decided
         # it (None where f was evaluated at mid); Illinois steps only
         # while fewer than `budget` evaluations have been made
+        nonlocal probed
         kept, kept_scale = None, 1.0  # the end the last step kept, weighted
         while True:
             i = bisect_left(xs, mid)
@@ -261,7 +268,11 @@ def monotone_bisect(
             s_hi = kept_scale if x_hi == kept else 1.0
             g_lo, g_hi = (vs[i - 1] - target) * s_lo, (vs[i] - target) * s_hi
             x = 0.5 * (x_lo + x_hi)
-            if g_lo != g_hi:
+            if xtol is not None and (g_lo if rising else g_hi) == 0.0:
+                # f on the level at a's side: once, probe xtol/4 toward b
+                probe = x_lo + 0.25 * xtol if rising else x_hi - 0.25 * xtol
+                x, probed = (probe if not probed and x_lo < probe < x_hi else mid), True
+            elif g_lo != g_hi:
                 step = x_lo + (x_hi - x_lo) * (g_lo / (g_lo - g_hi))
                 if x_lo < step < x_hi:
                     x = step

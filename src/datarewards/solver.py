@@ -14,9 +14,11 @@ cuts the pieces there.
 One search (`_solve_family`) serves every scheme: it takes each
 market's feasible reward pieces, the aware [0, D^-1(C)] or the unaware
 pieces, and maximizes each scheme's revenue over them with a dense
-grid followed by golden-section refinement. It solves one scheme
-family at a time, SAR alone or SUR and SURD together, since those two
-share demand, thresholds and feasible region.
+grid followed by golden-section refinement of the best cell. A best
+piece end into which revenue rises is not refined: where revenue is
+unimodal on the cell, as golden section assumes, it is the optimum. It
+solves one scheme family at a time, SAR alone or SUR and SURD together,
+since those two share demand, thresholds and feasible region.
 
 D^-1(C) and each boundary of the unaware feasible region are found by
 bisection: D^-1(C) by halving [case_bound_a, the first doubling whose
@@ -99,6 +101,10 @@ DEFAULT_CONFIG = SolverConfig()
 # about 3e-5 relative of the optimum while r_total stays within about
 # 1e-10 of its value there.
 GOLDEN_TOL = 1e-6
+# `_rises_into_end`'s inward step, in cells; golden section tries no nearer point
+CORNER_STEP = 1e-7
+# the unaware piece below q = phi*Q/F, where revenue jumps, ends at q * COLLAPSE_CUT
+COLLAPSE_CUT = 1.0 - 1e-9
 # doublings of a reward before a search for more demand gives up
 MAX_DOUBLINGS = 60
 
@@ -426,7 +432,7 @@ def _unaware_pieces(
     `split` turns a market's grids into runs of feasible points,
     refines the run ends in the neighbouring grid cells (`_intervals`),
     and cuts each run at q = phi*Q/F, where revenue jumps: one with
-    a < q <= b becomes [a, q (1 - 1e-9)] and [q, b], since the
+    a < q <= b becomes [a, q * COLLAPSE_CUT] and [q, b], since the
     high-reward side's formulas apply at q itself, and a piece the cut
     leaves empty is dropped. It splits first the demand scan of [0, the
     search end], whose zero reward counts as feasible. The scan can step
@@ -446,7 +452,7 @@ def _unaware_pieces(
             feas = e.demand <= c
             feas[ends] = True
             for a, b in _intervals(c, grid, e.demand, feas, sur_demand):
-                cut = [(a, q * (1.0 - 1e-9)), (q, b)] if a < q <= b else [(a, b)]
+                cut = [(a, q * COLLAPSE_CUT), (q, b)] if a < q <= b else [(a, b)]
                 pieces += [(lo, hi) for lo, hi in cut if hi >= lo]
         return pieces
 
@@ -496,7 +502,7 @@ def feasible_region(
     q = case_bound_d(params)
     region: list[tuple[float, float]] = []
     for a, b in pieces[0]:
-        if region and a == q and region[-1][1] == q * (1.0 - 1e-9):
+        if region and a == q and region[-1][1] == q * COLLAPSE_CUT:
             region[-1] = (region[-1][0], b)
         else:
             region.append((a, b))
@@ -537,6 +543,14 @@ _OBJECTIVE = {
 }
 
 
+def _rises_into_end(objective, point, lo: float, hi: float, end: float) -> bool:
+    """Whether revenue at `end`, an end of the cell [lo, hi], exceeds
+    that CORNER_STEP of the cell inward. Both values are scalar: near
+    phi*Q/F the array path differs from the scalar one in the last digits."""
+    inward = end + CORNER_STEP * (hi - lo) * (1.0 if end == lo else -1.0)
+    return objective(point(inward)) < objective(point(end))
+
+
 def _family_optima(
     market: MarketParams, family: tuple[Scheme, ...], grids: list[np.ndarray],
     evals: list[PointEval], point,
@@ -544,7 +558,9 @@ def _family_optima(
     """Each scheme of the family at its optimum over one market's piece
     grids and their evaluations: per piece and objective, the best grid
     cell and its golden refinement (revenue is empirically unimodal, and
-    the grid protects against surprises in any case)."""
+    the grid protects against surprises in any case). A best piece end
+    into which revenue rises (`_rises_into_end`) is not refined: on a
+    unimodal cell, every point golden section tries earns less."""
     objectives = [_OBJECTIVE[s] for s in family]
     best: list[PointEval | None] = [None] * len(family)
 
@@ -560,7 +576,8 @@ def _family_optima(
             consider(piece.entry(best_i))
             lo = float(grid[max(best_i - 1, 0)])
             hi = float(grid[min(best_i + 1, len(grid) - 1)])
-            if hi > lo:
+            if hi > lo and not (best_i in (0, len(grid) - 1) and _rises_into_end(
+                    objective, point, lo, hi, float(grid[best_i]))):
                 w_ref, _ = golden_max(
                     lambda w: objective(point(w)), lo, hi, rel_tol=GOLDEN_TOL
                 )

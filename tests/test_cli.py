@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from datarewards import (
@@ -134,7 +135,7 @@ def test_reproduce_fixed_capacity_preset(capsys):
 def test_reproduce_scalar_demand_budget(monkeypatch, capsys):
     # the feasible-boundary and D^-1(C) bisections decide most midpoints
     # from earlier evaluations: fig5a at --grid 150 took 2 062 scalar
-    # demand calls when every midpoint was evaluated, and takes 936 now
+    # demand calls when every midpoint was evaluated, and takes 923 now
     import datarewards.solver as solver_mod
 
     orig, calls = solver_mod.demand, []
@@ -147,6 +148,26 @@ def test_reproduce_scalar_demand_budget(monkeypatch, capsys):
     code, _, _ = _run(capsys, ["reproduce", "fig5a", "--grid", "150"])
     assert code == 0
     assert len(calls) <= 1000
+
+
+def test_reproduce_scalar_stage_ii_budget(monkeypatch, capsys):
+    # golden section refines only the cells the grid leaves open: the 12
+    # presets at --grid 50 took 14 503 scalar evaluations when every end
+    # cell was refined, and take 2 610 now
+    import datarewards.solver as solver_mod
+
+    orig, calls = solver_mod.evaluate_point, []
+
+    def counted(params, w, scheme):
+        if not isinstance(w, np.ndarray):
+            calls.append(w)
+        return orig(params, w, scheme)
+
+    monkeypatch.setattr(solver_mod, "evaluate_point", counted)
+    for name in PRESETS:
+        code, _, _ = _run(capsys, ["reproduce", name, "--grid", "50"])
+        assert code == 0
+    assert len(calls) <= 3000
 
 
 def test_argparse_error_leaves_the_parser_reusable(capsys):

@@ -83,3 +83,61 @@ def test_sweep_passes_hold_a_bounded_number_of_rewards(monkeypatch, capsys, tmp_
     assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 300 * 3
     assert max(sizes) <= solver_mod._PASS_REWARDS
     assert sum(sizes) > 2 * solver_mod._PASS_REWARDS  # several passes were needed
+
+
+# ---------------------------------------------------------------------------
+# The corner rule: end cells where revenue rises into the end are not refined
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", [SolverConfig(50, 50), SolverConfig(150, 120)])
+def test_corner_rule_leaves_every_preset_sweep_as_refining_does(config, monkeypatch):
+    def sweep():
+        out = []
+        for preset in PRESETS.values():
+            params = preset.params()
+            caps = ([float(c) for c in np.linspace(
+                preset.sweep_from(), preset.sweep_to, preset.sweep_steps)]
+                if preset.sweep_to is not None else [params.C])
+            out.append(solve_capacities(params, caps, SCHEMES, config))
+        return out
+
+    shipped = sweep()
+    monkeypatch.setattr(solver_mod, "_rises_into_end", lambda *args: False)
+    assert shipped == sweep()
+
+
+def _evaluation(revenue, w) -> solver_mod.PointEval:
+    """A stage-II evaluation at a reward or a reward array whose only
+    revenue is revenue(w), as `_family_optima` reads it."""
+    array, zero = isinstance(w, np.ndarray), 0.0 * w
+    return solver_mod.PointEval(
+        w=w, case_label=np.full(w.shape, "A") if array else "A", demand=zero,
+        r_data=revenue(w), theta4=np.full(w.shape, np.nan) if array else None,
+        ad=solver_mod.AdSideOutcome(zero, None, None, None),
+    )
+
+
+@pytest.mark.parametrize("revenue,peak,refined", [
+    (lambda w: w, 1.0, False),  # rises into the right end: a corner optimum
+    (lambda w: -w, 0.0, False),  # rises into the left end
+    (lambda w: -(w - 0.97) ** 2, 0.97, True),  # peaks inside the right end cell
+    (lambda w: -(w - 0.03) ** 2, 0.03, True),  # peaks inside the left end cell
+    (lambda w: 0.0 * w, 0.0, True),  # flat: a tie refines, and keeps the end
+])
+def test_an_end_cell_is_refined_only_where_revenue_falls_into_the_end(
+        revenue, peak, refined, monkeypatch):
+    calls = []
+    golden = solver_mod.golden_max
+
+    def counted(f, a, b, rel_tol):
+        calls.append((a, b))
+        return golden(f, a, b, rel_tol)
+
+    monkeypatch.setattr(solver_mod, "golden_max", counted)
+    grid = np.linspace(0.0, 1.0, 11)
+    (out,) = solver_mod._family_optima(
+        PRESETS["fig5a"].params(), (Scheme.SAR,), [grid],
+        [_evaluation(revenue, grid)], lambda w: _evaluation(revenue, w))
+    assert len(calls) == refined
+    assert out.omega_star == pytest.approx(peak, abs=1e-6)

@@ -188,3 +188,29 @@ def test_monotone_bisect_decides_the_band_without_its_midpoint():
     got = monotone_bisect(f, 0.0, 1.0, 0.0, 2.0, 0.5, band=0.25, max_iter=200)
     assert got == (0.5, 0.5, True)
     assert 0.5 not in calls
+
+
+@given(st.floats(-1.0, 1.0), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([0.0, 1e-12, 2e-11, 4e-11, 1e-9, 0.1, 0.7]),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([-2.5, 0.0, 1.0]),
+       st.sampled_from([1e-10, 1e-6, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_monotone_bisect_past_a_kink_on_the_level(a, sign, flat, slope, level, xtol):
+    # f equals the level on the flat stretch from a toward b, then rises
+    # (as demand at C = D(0) past case_bound_a): the answer is the plain
+    # loop's, and past a kink at a itself the evaluation xtol/4 toward b
+    # decides every midpoint
+    b = a + sign
+
+    def f(x):
+        return level + max(0.0, sign * (x - a) - flat) * slope
+
+    counted, seen = _counted(f)
+    plain_f, plain_seen = _counted(f)
+    want = plain_bisect(plain_f, a, b, level, xtol=xtol, max_iter=80)
+    assert monotone_bisect(counted, a, b, level, f(b), level, xtol=xtol,
+                           max_iter=80) == want
+    assert len(seen) <= len(plain_seen) + _SPARE_STEPS + 2
+    if flat == 0.0 and xtol == 1e-10:
+        assert len(plain_seen) == 34
+        assert len(seen) <= 2
